@@ -2,7 +2,10 @@
 
 Exit codes follow scripting conventions: 0 for success (and for "equal"),
 1 for a semantic "no" (``eq`` on inequivalent terms), 2 for any input
-error (unparsable term, malformed JSON, bad weights).
+error (unparsable term, malformed JSON, bad weights), 3 for an internal or
+resource failure on well-formed input (nesting too deep for the recursion
+limit, a failed exactness check in the simplex kernel). Errors print one
+``error: ...`` line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -145,6 +148,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CslError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -54,9 +54,3 @@ def hull_coefficients(
         return None
     den, values = result
     return [Fraction(v, den) for v in values]
-
-
-def hull_feasible(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> bool:
-    return hull_coefficients(columns, target) is not None

@@ -7,9 +7,11 @@ the other way, :func:`kappa` rebuilds a canonical term from a convex set's
 base, and :func:`canon` composes the two into a normal form that decides
 semantic equality.
 
-Rewriting (:func:`rewrite_np`) distributes every mix over the choices
+Normalization (:func:`rewrite_np`) distributes every mix over the choices
 beneath it, producing the n-p form: a choice among purely probabilistic
-terms.
+terms, ordered by their distributions. It builds the summands bottom-up in
+one pass; :func:`rewrite_step`, one innermost-leftmost distribution step,
+stays as its specification.
 """
 
 from __future__ import annotations
@@ -153,23 +155,45 @@ def np_summands(t: Term) -> List[Term]:
     return out
 
 
-def rewrite_np(t: Term, step_limit: Optional[int] = None) -> NPForm:
-    """Normalize to n-p form by exhaustive innermost-leftmost rewriting.
+def rewrite_np(t: Term) -> NPForm:
+    """Normalize to n-p form in one bottom-up pass, linear in the output
+    up to the final sort.
 
-    Every step preserves the interpretation; the system terminates on all
-    terms. ``step_limit`` turns a runaway loop into a RuntimeError, for use
-    in tests with an explicit step budget.
+    :func:`rewrite_step` is the specification: the summands are those its
+    innermost-leftmost rewriting reaches, in the same order, then stably
+    sorted by their distributions. Each node yields its summands paired
+    with their distributions. A leaf is its own summand; a choice
+    concatenates its children's lists; a mix takes their row-major product,
+    which is the order the left rule then the right rule leave. So every
+    summand's distribution is computed once, from its parts. The pass keeps
+    an explicit stack and does not recurse.
     """
-    steps = 0
-    cur = t
-    while (nxt := rewrite_step(cur)) is not None:
-        cur = nxt
-        steps += 1
-        if step_limit is not None and steps > step_limit:
-            raise RuntimeError(f"no normal form within {step_limit} rewrite steps")
-    summands = np_summands(cur)
-    summands.sort(key=lambda s: iota_p(s).entries)
-    return NPForm(tuple(summands))
+    done: List[List[Tuple[Term, Dist]]] = []
+    stack: List[Tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Leaf):
+            done.append([(node, d_unit(node.atom))])
+        elif not children_done:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+        else:
+            right = done.pop()
+            left = done.pop()
+            if isinstance(node, Or):
+                left.extend(right)
+                done.append(left)
+            else:
+                weights = [node.p, ONE - node.p]
+                done.append([
+                    (Mix(node.p, a, b), convex_combine(weights, [da, db]))
+                    for a, da in left
+                    for b, db in right
+                ])
+    (summands,) = done
+    summands.sort(key=lambda sd: sd[1].entries)
+    return NPForm(tuple(s for s, _ in summands))
 
 
 # --- interpretation ---------------------------------------------------------

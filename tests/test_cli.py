@@ -136,6 +136,17 @@ def test_eq_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+def test_eq_too_deep_exits_3_without_traceback(capsys):
+    deep = "a"
+    for _ in range(1200):
+        deep = f"(mix 1/2 {deep} b)"
+    code, out, err = run(capsys, "eq", deep, deep)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- base ----------------------------------------------------------------------
 
 

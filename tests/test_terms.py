@@ -35,6 +35,7 @@ from csl import (
     substitute,
 )
 
+from csl.terms import np_summands
 from genrandom import convex, dist, weights
 
 F = Fraction
@@ -192,10 +193,60 @@ def test_rewrite_pterm_is_noop():
 
 @given(terms_st)
 def test_rewrite_result_is_np_form(t):
-    np = rewrite_np(t, step_limit=10_000)
+    np = rewrite_np(t)
     assert is_np_form(np.term())
     for s in np.summands:
         assert is_pterm(s)
+
+
+def _reference_np(t):
+    """The specification: rewrite step by step, then sort by distribution."""
+    normal = t
+    for normal in rewrite_steps(t):
+        pass
+    summands = np_summands(normal)
+    summands.sort(key=lambda s: iota_p(s).entries)
+    return summands
+
+
+@given(terms_st)
+def test_rewrite_np_matches_step_by_step_rewriting(t):
+    assert list(rewrite_np(t).summands) == _reference_np(t)
+
+
+@pytest.mark.parametrize("text", [
+    "(or (mix 1/2 x y) (mix 1/2 x y))",
+    "(mix 1/3 (or x x) y)",
+    "(or (mix 1/2 x y) (mix 1/2 y x))",
+    "(mix 1/2 (or x y) (or x y))",
+])
+def test_rewrite_np_keeps_tied_summands_in_rewriting_order(text):
+    t = parse_term(text)
+    assert list(rewrite_np(t).summands) == _reference_np(t)
+
+
+def test_rewrite_np_tied_distributions_stay_in_row_major_order():
+    summands = rewrite_np(parse_term("(mix 1/2 (or x y) (or x y))")).summands
+    assert list(summands) == [Mix(HALF, X, Y), Mix(HALF, Y, X), Mix(HALF, X, X), Mix(HALF, Y, Y)]
+
+
+@pytest.mark.parametrize("shared", [
+    Or(X, Y),
+    Mix(THIRD, Or(X, Y), Z),
+    Mix(HALF, X, Y),
+])
+def test_rewrite_np_with_one_subterm_object_on_both_sides(shared):
+    for t in (Mix(THIRD, shared, shared), Or(shared, shared), Mix(HALF, Or(shared, Z), shared)):
+        assert list(rewrite_np(t).summands) == _reference_np(t)
+
+
+def test_rewrite_np_wide_chain_size():
+    text = "(or a9 b9)"
+    for i in range(8, -1, -1):
+        text = f"(mix 1/2 (or a{i} b{i}) {text})"
+    summands = rewrite_np(parse_term(text)).summands
+    assert len(summands) == 1024
+    assert len(set(summands)) == 1024
 
 
 @given(terms_st)
