@@ -1,7 +1,4 @@
-"""Pure-Python phase-one simplex kernel on integer tableaus.
-
-This is the portable twin of the Cython kernel in ``_simplex.pyx``; both
-implement the identical pivot rule and must return identical results.
+"""Phase-one simplex kernel on integer tableaus.
 
 The tableau is held as arbitrary-precision integers with one shared positive
 denominator: the rational value of slot (i, j) is ``tab[i][j] / den``. A

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, List, Tuple
 
-from . import feasibility
 from .distributions import (
     Atom,
     Dist,
@@ -31,6 +30,7 @@ from .distributions import (
     exact,
 )
 from .errors import DecodeError, InvalidProbability
+from .feasibility import hull_coefficients
 
 
 def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
@@ -38,7 +38,8 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
 
     Decided exactly: one linear equality per atom in the union of supports
     plus the condition that the coefficients are nonnegative and sum to 1,
-    fed to the simplex kernel.
+    solved by :func:`hull_coefficients`. A generator equal to ``d``, or an
+    atom of ``d`` that no generator has, settles the answer without it.
     """
     gen_list = list(gens)
     if not gen_list:
@@ -50,25 +51,7 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
         universe.update(g.atoms)
     if not set(d.atoms) <= universe:
         return False
-    atoms = sorted(universe)
-    columns = [tuple(g.weight(a) for a in atoms) for g in gen_list]
-    target = tuple(d.weight(a) for a in atoms)
-    return feasibility.hull_coefficients(columns, target) is not None
-
-
-def hull_coefficients(d: Dist, gens: Iterable[Dist]):
-    """Like :func:`member_of_hull` but returns the witness coefficients
-    (or None), in the order of ``gens``."""
-    gen_list = list(gens)
-    if not gen_list:
-        raise ValueError("generator set must be non-empty")
-    universe = set(d.atoms)
-    for g in gen_list:
-        universe.update(g.atoms)
-    atoms = sorted(universe)
-    columns = [tuple(g.weight(a) for a in atoms) for g in gen_list]
-    target = tuple(d.weight(a) for a in atoms)
-    return feasibility.hull_coefficients(columns, target)
+    return hull_coefficients(d, gen_list) is not None
 
 
 def _extract_base(dists: List[Dist]) -> List[Dist]:

@@ -138,7 +138,10 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
         if w == 0:
             continue
         for atom, dw in d.entries:
-            acc[atom] = acc.get(atom, ZERO) + w * dw
+            if atom in acc:
+                acc[atom] += w * dw
+            else:
+                acc[atom] = w * dw
     return Dist(acc.items())
 
 
@@ -150,7 +153,10 @@ def d_map(f: Callable[[Atom], Atom], d: Dist) -> Dist:
     acc: dict = {}
     for atom, w in d.entries:
         image = f(atom)
-        acc[image] = acc.get(image, ZERO) + w
+        if image in acc:
+            acc[image] += w
+        else:
+            acc[image] = w
     return Dist(acc.items())
 
 

@@ -1,54 +1,45 @@
 """Exact convex-hull membership via phase-one simplex.
 
-The underlying kernel works on scaled integer tableaus and exists twice:
-compiled (``csl._simplex``, built from Cython) and pure Python
-(``csl._simplex_py``). The compiled one is picked at import time when
-available; set ``CSL_KERNEL=py`` to force the fallback, ``CSL_KERNEL=c``
-to insist on the compiled kernel.
+:func:`hull_coefficients` is the one place that turns distributions into a
+linear program: one integer equality row per atom, each scaled by the lcm
+of its denominators, and the convexity row of ones. The fraction-free
+simplex kernel in ``csl._simplex_py`` solves it.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional
 
-_FORCED = os.environ.get("CSL_KERNEL", "").strip().lower()
-if _FORCED in ("py", "python"):
-    from . import _simplex_py as _kernel
-elif _FORCED in ("c", "compiled"):
-    from . import _simplex as _kernel  # type: ignore[no-redef]
-else:
-    try:
-        from . import _simplex as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _simplex_py as _kernel  # type: ignore[no-redef]
+from . import _simplex_py as _kernel
+from .distributions import ZERO, Dist
 
 
 def kernel_name() -> str:
-    """Which kernel this process is using: "compiled" or "python"."""
-    return "compiled" if _kernel.__name__.endswith("._simplex") else "python"
+    """Which simplex kernel this process uses; there is only "python"."""
+    return "python"
 
 
-def hull_coefficients(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Exact convex coefficients writing ``target`` over ``columns``.
+def hull_coefficients(d: Dist, gens: Iterable[Dist]) -> Optional[List[Fraction]]:
+    """Exact convex coefficients writing ``d`` over the generators ``gens``.
 
     Decides whether there are alpha_j >= 0 with sum(alpha) = 1 and
-    sum_j alpha_j * columns[j] = target, coordinate by coordinate. Returns
-    the coefficient list when feasible, None otherwise.
+    sum_j alpha_j * gens[j] = d, atom by atom over the union of all supports
+    (``d``'s included). Returns the coefficients, in the order of ``gens``,
+    when feasible, None otherwise.
     """
-    n = len(columns)
-    if n == 0:
-        raise ValueError("need at least one column")
+    points = [dict(g.entries) for g in gens]
+    if not points:
+        raise ValueError("generator set must be non-empty")
+    n = len(points)
+    points.append(dict(d.entries))
     rows = []
-    for i, t in enumerate(target):
-        frac_row = [col[i] for col in columns] + [t]
-        scale = lcm(*(f.denominator for f in frac_row))
-        rows.append([int(f * scale) for f in frac_row])
-    rows.append([1] * n + [1])
+    for atom in sorted(set().union(*points)):
+        ws = [p.get(atom, ZERO) for p in points]
+        scale = lcm(*(w.denominator for w in ws))
+        rows.append([w.numerator * (scale // w.denominator) for w in ws])
+    rows.append([1] * (n + 1))
     result = _kernel.hull_witness(rows, n)
     if result is None:
         return None
