@@ -3,9 +3,9 @@
 Exit codes follow scripting conventions: 0 for success (and for "equal"),
 1 for a semantic "no" (``eq`` on inequivalent terms), 2 for any input
 error (unparsable term, malformed JSON, bad weights), 3 for an internal or
-resource failure on well-formed input (nesting too deep for the recursion
-limit, a failed exactness check in the simplex kernel). Errors print one
-``error: ...`` line to stderr, never a traceback.
+resource failure on well-formed input (a failed exactness check in the
+simplex kernel, or a ``RecursionError`` should any walk still recurse).
+Errors print one ``error: ...`` line to stderr, never a traceback.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ Normalization (:func:`rewrite_np`) distributes every mix over the choices
 beneath it, producing the n-p form: a choice among purely probabilistic
 terms, ordered by their distributions. It builds the summands bottom-up in
 one pass; :func:`rewrite_step`, one innermost-leftmost distribution step,
-stays as its specification.
+stays as its specification. It is the only recursive walk: the others are
+loops or one :func:`fold`, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -53,22 +54,46 @@ class Mix:
 Term = Union[Leaf, Or, Mix]
 
 
+def fold(t: Term, leaf: Callable, or_: Callable, mix: Callable):
+    """The homomorphism out of the term algebra: ``leaf(node)`` at leaves,
+    ``or_(left, right)`` at choices and ``mix(p, left, right)`` at mixes.
+
+    A post-order walk with an explicit stack. Results are memoised by node
+    identity, so a subterm object that occurs twice is folded once.
+    """
+    done = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its children are done
+            (node,) = node
+            if type(node) is Or:
+                done[id(node)] = or_(done[id(node.left)], done[id(node.right)])
+            else:
+                done[id(node)] = mix(node.p, done[id(node.left)], done[id(node.right)])
+        elif id(node) not in done:
+            if type(node) is Leaf:
+                done[id(node)] = leaf(node)
+            else:
+                stack += ((node,), node.right, node.left)
+    return done[id(t)]
+
+
 def is_pterm(t: Term) -> bool:
     """Purely probabilistic: no Or anywhere in the term."""
-    if isinstance(t, Leaf):
-        return True
-    if isinstance(t, Or):
-        return False
-    return is_pterm(t.left) and is_pterm(t.right)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Mix:
+            stack += (node.left, node.right)
+        elif type(node) is not Leaf:
+            return False
+    return True
 
 
 def is_np_form(t: Term) -> bool:
     """True iff no mix has a choice anywhere beneath it."""
-    if isinstance(t, Leaf):
-        return True
-    if isinstance(t, Or):
-        return is_np_form(t.left) and is_np_form(t.right)
-    return is_pterm(t)
+    return all(is_pterm(s) for s in np_summands(t))
 
 
 @dataclass(frozen=True)
@@ -165,33 +190,18 @@ def rewrite_np(t: Term) -> NPForm:
     with their distributions. A leaf is its own summand; a choice
     concatenates its children's lists; a mix takes their row-major product,
     which is the order the left rule then the right rule leave. So every
-    summand's distribution is computed once, from its parts. The pass keeps
-    an explicit stack and does not recurse.
+    summand's distribution is computed once, from its parts.
     """
-    done: List[List[Tuple[Term, Dist]]] = []
-    stack: List[Tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if isinstance(node, Leaf):
-            done.append([(node, d_unit(node.atom))])
-        elif not children_done:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            right = done.pop()
-            left = done.pop()
-            if isinstance(node, Or):
-                left.extend(right)
-                done.append(left)
-            else:
-                weights = [node.p, ONE - node.p]
-                done.append([
-                    (Mix(node.p, a, b), convex_combine(weights, [da, db]))
-                    for a, da in left
-                    for b, db in right
-                ])
-    (summands,) = done
+    summands = fold(
+        t,
+        lambda n: [(n, d_unit(n.atom))],
+        lambda left, right: left + right,  # a new list: a memoised child may be shared
+        lambda p, left, right: [
+            (Mix(p, a, b), convex_combine([p, ONE - p], [da, db]))
+            for a, da in left
+            for b, db in right
+        ],
+    )
     summands.sort(key=lambda sd: sd[1].entries)
     return NPForm(tuple(s for s, _ in summands))
 
@@ -201,20 +211,17 @@ def rewrite_np(t: Term) -> NPForm:
 
 def iota_p(t: Term) -> Dist:
     """Evaluate a purely probabilistic term to its distribution."""
-    if isinstance(t, Leaf):
-        return d_unit(t.atom)
-    if isinstance(t, Or):
-        raise ValueError("iota_p is only defined on purely probabilistic terms")
-    return convex_combine([t.p, ONE - t.p], [iota_p(t.left), iota_p(t.right)])
+    return fold(t, lambda n: d_unit(n.atom), _no_choice,
+                lambda p, left, right: convex_combine([p, ONE - p], [left, right]))
+
+
+def _no_choice(left, right):
+    raise ValueError("iota_p is only defined on purely probabilistic terms")
 
 
 def evaluate(t: Term, valuation: Callable[[str], ConvexSet]) -> ConvexSet:
-    """Evaluate a term in the convex-set algebra at the given atom values."""
-    if isinstance(t, Leaf):
-        return valuation(t.atom)
-    if isinstance(t, Or):
-        return convex_union(evaluate(t.left, valuation), evaluate(t.right, valuation))
-    return minkowski(t.p, evaluate(t.left, valuation), evaluate(t.right, valuation))
+    """Evaluate a term at the given atom values, each shared subterm once."""
+    return fold(t, lambda n: valuation(n.atom), convex_union, minkowski)
 
 
 def iota(t: Term) -> ConvexSet:
@@ -281,11 +288,7 @@ def decide_eq(t1: Term, t2: Term) -> bool:
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace leaf atoms by terms; atoms absent from the mapping stay."""
-    if isinstance(t, Leaf):
-        return mapping.get(t.atom, t)
-    if isinstance(t, Or):
-        return Or(substitute(t.left, mapping), substitute(t.right, mapping))
-    return Mix(t.p, substitute(t.left, mapping), substitute(t.right, mapping))
+    return fold(t, lambda n: mapping.get(n.atom, n), Or, Mix)
 
 
 # --- text form --------------------------------------------------------------
@@ -320,86 +323,82 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-    def parse(self) -> Term:
-        t = self.term()
-        kind, value, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
-        return t
-
-    def term(self) -> Term:
-        kind, value, pos = self.next()
-        if kind == "atom":
-            return Leaf(value)
-        if kind != "open":
-            what = repr(value) if kind != "eof" else "end of input"
-            raise ParseError(f"expected a term, found {what}", pos)
-        kind, value, pos = self.next()
-        if kind == "atom" and value == "or":
-            return self.or_tail()
-        if kind == "atom" and value == "mix":
-            return self.mix_tail()
-        what = repr(value) if kind != "eof" else "end of input"
-        raise ParseError(f"expected 'or' or 'mix' after '(', found {what}", pos)
-
-    def or_tail(self) -> Term:
-        operands = []
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "close":
-                self.next()
-                break
-            if kind == "eof":
-                raise ParseError("unclosed '(or ...'", pos)
-            operands.append(self.term())
-        if len(operands) < 2:
-            _, _, pos = self.tokens[self.index - 1]
-            raise ParseError("'or' needs at least two operands", pos)
-        return fold_or(operands)
-
-    def mix_tail(self) -> Term:
-        kind, value, pos = self.next()
-        if kind != "number":
-            what = repr(value) if kind != "eof" else "end of input"
-            raise ParseError(f"expected a rational after 'mix', found {what}", pos)
-        try:
-            p = Fraction(value)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {value!r}", pos) from None
-        left = self.term()
-        right = self.term()
-        kind, value, pos = self.next()
-        if kind != "close":
-            what = repr(value) if kind != "eof" else "end of input"
-            raise ParseError(f"expected ')' closing 'mix', found {what}", pos)
-        return Mix(p, left, right)
+def _found(kind: str, value: str) -> str:
+    return repr(value) if kind != "eof" else "end of input"
 
 
 def parse_term(text: str) -> Term:
-    """Parse the s-expression term grammar; exact rationals throughout."""
-    return _Parser(text).parse()
+    """Parse the s-expression term grammar; exact rationals throughout.
+
+    One loop over the tokens keeps a stack of the forms still open: ``(None,
+    operands)`` for an ``(or``, ``(p, operands)`` for a ``(mix p``.
+    """
+    tokens = _tokenize(text)
+    tokens.append(("eof", "", len(text)))
+    frames: List[Tuple[Optional[Fraction], List[Term]]] = []
+    i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if frames and frames[-1][0] is None and kind in ("close", "eof"):
+            if kind == "eof":
+                raise ParseError("unclosed '(or ...'", pos)
+            operands = frames.pop()[1]
+            if len(operands) < 2:
+                raise ParseError("'or' needs at least two operands", pos)
+            t = fold_or(operands)
+        elif kind == "atom":
+            t = Leaf(value)
+        elif kind != "open":
+            raise ParseError(f"expected a term, found {_found(kind, value)}", pos)
+        else:
+            kind, value, pos = tokens[i]
+            i += 1
+            if kind == "atom" and value == "or":
+                frames.append((None, []))
+                continue
+            if kind != "atom" or value != "mix":
+                raise ParseError(f"expected 'or' or 'mix' after '(', found {_found(kind, value)}", pos)
+            kind, value, pos = tokens[i]
+            i += 1
+            if kind != "number":
+                raise ParseError(f"expected a rational after 'mix', found {_found(kind, value)}", pos)
+            try:
+                frames.append((Fraction(value), []))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}", pos) from None
+            continue
+        # t is complete: it closes every mix it is the right operand of.
+        while frames and frames[-1][0] is not None and frames[-1][1]:
+            p, (left,) = frames.pop()
+            kind, value, pos = tokens[i]
+            i += 1
+            if kind != "close":
+                raise ParseError(f"expected ')' closing 'mix', found {_found(kind, value)}", pos)
+            t = Mix(p, left, t)
+        if not frames:
+            kind, value, pos = tokens[i]
+            if kind != "eof":
+                raise ParseError(f"unexpected trailing input {value!r}", pos)
+            return t
+        frames[-1][1].append(t)
 
 
 def print_term(t: Term) -> str:
-    """Emit a term in the grammar; inverse of :func:`parse_term`."""
-    if isinstance(t, Leaf):
-        return t.atom
-    if isinstance(t, Or):
-        return f"(or {print_term(t.left)} {print_term(t.right)})"
-    return f"(mix {t.p.numerator}/{t.p.denominator} {print_term(t.left)} {print_term(t.right)})"
+    """Emit a term in the grammar; inverse of :func:`parse_term`.
+
+    A stack loop, not a :func:`fold`: memoised texts take memory quadratic
+    in the depth, and text has no sharing to gain from.
+    """
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif type(node) is Leaf:
+            out.append(node.atom)
+        else:
+            out.append("(or " if type(node) is Or else f"(mix {node.p.numerator}/{node.p.denominator} ")
+            stack += (")", node.right, " ", node.left)
+    return "".join(out)

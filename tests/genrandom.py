@@ -2,7 +2,9 @@
 
 Everything is driven by a caller-supplied ``random.Random`` so that every
 test run is reproducible; all values are exact rationals built from integer
-draws (no floats anywhere).
+draws (no floats anywhere). :func:`fuzzed_text` is a hypothesis strategy
+built on :func:`term`; it imports hypothesis when called, so the benchmark,
+which reuses these builders, does not load it.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from csl import (
     Term,
     dist_make,
     from_generators,
+    print_term,
 )
 
 ATOMS = ("w", "x", "y", "z")
@@ -108,3 +111,27 @@ def term(
     if rng.randint(0, 1):
         return Or(left, right)
     return Mix(prob(rng, max_den), left, right)
+
+
+FUZZ_TOKENS = ("(", ")", "or", "mix", "x", "y", "1/2", "2/3", "3/2", "1/0", "0", "-1/3", "!")
+
+
+def fuzzed_text():
+    """Text over the term grammar's tokens, mostly malformed.
+
+    A cut-off well-formed term with a few random tokens after it meets the
+    end of input at every point of the grammar; random token strings and
+    random characters cover the rest.
+    """
+    from hypothesis import strategies as st
+
+    tokens = st.randoms(use_true_random=False).map(
+        lambda rng: print_term(term(rng, 4, leaf_bias=10)).replace("(", "( ").replace(")", " )").split()
+    )
+    prefix = tokens.flatmap(lambda ts: st.integers(0, len(ts)).map(lambda cut: ts[:cut]))
+    extra = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4)
+    return st.one_of(
+        st.builds(lambda ts, more: " ".join(ts + more), prefix, extra),
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12).map(" ".join),
+        st.text(alphabet="()ormix y1/2-!", max_size=24),
+    )

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csl.cli import main
+from genrandom import fuzzed_text
 
 DEMO_GOLDEN = """\
 f maps x -> a, y -> a, z -> b
@@ -136,23 +141,45 @@ def test_eq_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
-def test_eq_too_deep_exits_3_without_traceback(capsys):
+def test_eq_answers_terms_nested_past_the_recursion_limit(capsys):
     deep = "a"
     for _ in range(1200):
         deep = f"(mix 1/2 {deep} b)"
     code, out, err = run(capsys, "eq", deep, deep)
+    assert code == 0
+    assert out == "equal\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("exc", [RecursionError("too deep"), ArithmeticError("kernel check")])
+def test_internal_failure_exits_3_without_traceback(capsys, monkeypatch, exc):
+    def fail(t1, t2):
+        raise exc
+
+    monkeypatch.setattr("csl.cli.decide_eq", fail)
+    code, out, err = run(capsys, "eq", "x", "y")
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
+@given(st.sampled_from(["eq", "normalize", "canon", "eval"]), fuzzed_text(), fuzzed_text())
+def test_fuzzed_arguments_exit_with_a_documented_code(command, text1, text2):
+    argv = [command, text1, text2] if command == "eq" else [command, text1]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a term that looks like an option
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 # --- base ----------------------------------------------------------------------
 
 
 def test_base_from_stdin(capsys, monkeypatch):
-    import io
-
     doc = json.dumps(
         {
             "generators": [
@@ -187,8 +214,6 @@ def test_base_from_file(capsys, tmp_path):
 
 
 def test_base_singleton(capsys, monkeypatch):
-    import io
-
     doc = '{"generators":[[{"atom":"x","weight":"1/1"}]]}'
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, _ = run(capsys, "base")
@@ -197,8 +222,6 @@ def test_base_singleton(capsys, monkeypatch):
 
 
 def test_eval_then_base_is_fixed_point(capsys, monkeypatch):
-    import io
-
     _, evaluated, _ = run(capsys, "eval", "(or (mix 1/2 x y) x (mix 2/3 x y))")
     monkeypatch.setattr("sys.stdin", io.StringIO(evaluated))
     code, rebased, _ = run(capsys, "base")
@@ -207,8 +230,6 @@ def test_eval_then_base_is_fixed_point(capsys, monkeypatch):
 
 
 def test_base_bad_json_exits_2(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
     code, _, err = run(capsys, "base")
     assert code == 2
@@ -216,8 +237,6 @@ def test_base_bad_json_exits_2(capsys, monkeypatch):
 
 
 def test_base_bad_distribution_exits_2(capsys, monkeypatch):
-    import io
-
     doc = '{"generators":[[{"atom":"x","weight":"1/2"}]]}'
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, _, err = run(capsys, "base")

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -36,7 +37,7 @@ from csl import (
 )
 
 from csl.terms import np_summands
-from genrandom import convex, dist, weights
+from genrandom import convex, dist, fuzzed_text, weights
 
 F = Fraction
 HALF = F(1, 2)
@@ -145,6 +146,23 @@ def test_print_examples():
 
 @given(terms_st)
 def test_print_parse_round_trip(t):
+    assert parse_term(print_term(t)) == t
+
+
+@given(terms_st)
+def test_every_proper_prefix_of_a_term_is_a_parse_error(t):
+    tokens = print_term(t).replace("(", "( ").replace(")", " )").split()
+    for cut in range(len(tokens)):
+        with pytest.raises(ParseError):
+            parse_term(" ".join(tokens[:cut]))
+
+
+@given(fuzzed_text())
+def test_parse_returns_a_term_or_raises_a_parse_error(text):
+    try:
+        t = parse_term(text)
+    except (ParseError, InvalidProbability):
+        return
     assert parse_term(print_term(t)) == t
 
 
@@ -432,6 +450,68 @@ def test_convexity_law(data):
     assert decide_eq(both, Or(both, Mix(p, t1, t2)))
     # trivially implied variant mixing a term with itself
     assert decide_eq(both, Or(both, Mix(p, t1, t1)))
+
+
+# --- deep and shared terms ----------------------------------------------------------------
+
+DEPTH = 3 * sys.getrecursionlimit()
+
+
+def deep_chain(leaf="a"):
+    """(mix 1/2 (mix 1/2 ... (mix 1/2 a b) ... b) b), DEPTH mixes deep."""
+    return "(mix 1/2 " * DEPTH + leaf + " b)" * DEPTH
+
+
+# Terms this deep are compared through their text: dataclass == recurses.
+
+
+def test_deep_parse_print_round_trip():
+    text = deep_chain("(or a c)")
+    assert print_term(parse_term(text)) == text
+
+
+def test_deep_rewrite_np():
+    summands = rewrite_np(parse_term(deep_chain("(or a c)"))).summands
+    assert [print_term(s) for s in summands] == [deep_chain("a"), deep_chain("c")]
+
+
+def test_deep_iota_p_and_canon():
+    t = parse_term(deep_chain())
+    w = F(1, 2**DEPTH)
+    assert iota_p(t) == dist_make([("a", w), ("b", 1 - w)])
+    assert print_term(canon(t)) == f"(mix {w.numerator}/{w.denominator} a b)"
+
+
+def test_deep_substitute():
+    t = parse_term(deep_chain())
+    assert print_term(substitute(t, {"a": Leaf("c")})) == deep_chain("c")
+
+
+def test_deep_np_form_predicate():
+    assert is_np_form(parse_term(deep_chain()))
+    assert is_np_form(parse_term("(or " * DEPTH + "a" + " b)" * DEPTH))
+    assert not is_np_form(parse_term(deep_chain("(or a c)")))
+
+
+def shared_tower(levels):
+    """Each level uses the level below twice, as one object: 2**levels paths."""
+    t = Or(X, Y)
+    for k in range(levels):
+        t = Mix(THIRD, t, t) if k % 2 else Or(t, t)
+    return t
+
+
+def test_shared_subterms_are_evaluated_once():
+    t = shared_tower(64)
+    assert iota(t) == iota(Or(X, Y))
+    valued = []
+
+    def valuation(atom):
+        valued.append(atom)
+        return c_unit(atom)
+
+    assert evaluate(t, valuation) == iota(Or(X, Y))
+    assert sorted(valued) == ["x", "y"]
 
 
 # --- substitution ----------------------------------------------------------------------
