@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .convexsets import from_generators, pne_d_map_then_base, set_from_obj, set_to_obj
 from .distributions import d_unit, dist_make, dist_to_obj
-from .errors import CslError
+from .errors import CslError, DecodeError
 from .terms import canon, decide_eq, iota, parse_term, print_term, rewrite_np
 
 
@@ -63,12 +63,16 @@ def cmd_eq(args) -> int:
 
 
 def cmd_base(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    s = set_from_obj(json.loads(text))
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        obj = json.loads(text)
+    except ValueError as exc:  # not UTF-8, not JSON, or a number past int()'s digits
+        raise DecodeError(str(exc)) from None
+    s = set_from_obj(obj)
     print(dumps(set_to_obj(s)))
     return 0
 
@@ -145,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CslError, json.JSONDecodeError, OSError) as exc:
+    except (CslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, ArithmeticError) as exc:

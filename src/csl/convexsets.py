@@ -39,17 +39,17 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     Decided exactly: one linear equality per atom in the union of supports
     plus the condition that the coefficients are nonnegative and sum to 1,
     solved by :func:`hull_coefficients`. A generator equal to ``d``, or an
-    atom of ``d`` that no generator has, settles the answer without it.
+    atom of ``d`` that no generator has, settles the answer without it; both
+    tests run on the cached integer forms (``Dist.scaled``).
     """
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("generator set must be non-empty")
-    if d in gen_list:
+    cols = [g.scaled() for g in gen_list]
+    form = d.scaled()
+    if form in cols:
         return True
-    universe = set()
-    for g in gen_list:
-        universe.update(g.atoms)
-    if not set(d.atoms) <= universe:
+    if not form[1].keys() <= set().union(*(c for _, c in cols)):
         return False
     return hull_coefficients(d, gen_list) is not None
 

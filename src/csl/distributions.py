@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Iterable, Tuple
 
 from .errors import DecodeError, NotADistribution, NotAWeightVector
@@ -22,7 +23,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_WEIGHT_TEXT = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
+_WEIGHT_TEXT = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 
 
 def exact(value) -> Fraction:
@@ -39,10 +40,11 @@ class Dist:
     construction, zero weights are dropped, and the weights must sum to
     exactly 1 (otherwise :class:`NotADistribution` is raised). Instances
     are immutable value objects: equality, hashing and the total order
-    all follow the sorted entry list.
+    all follow the sorted entry list. The integer form that
+    :meth:`scaled` caches takes no part in any of them.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_scaled")
 
     def __init__(self, pairs: Iterable[Tuple[Atom, Rational]]):
         acc: dict = {}
@@ -66,6 +68,19 @@ class Dist:
     @property
     def atoms(self) -> Tuple[Atom, ...]:
         return tuple(a for a, _ in self._entries)
+
+    def scaled(self) -> Tuple[int, dict]:
+        """The integer form ``(D, {atom: w * D})``, D the lcm of the weights'
+        denominators, so the integers sum to D. Computed on the first call
+        and cached; the dict is shared, so callers must not change it.
+        """
+        try:
+            return self._scaled
+        except AttributeError:
+            pass
+        scale = lcm(*(w.denominator for _, w in self._entries))
+        self._scaled = (scale, {a: w.numerator * (scale // w.denominator) for a, w in self._entries})
+        return self._scaled
 
     def weight(self, atom: Atom) -> Rational:
         for a, w in self._entries:
@@ -100,6 +115,10 @@ class Dist:
     def __repr__(self) -> str:
         body = " + ".join(f"{w}*{a!r}" for a, w in self._entries)
         return f"Dist({body})"
+
+    def __reduce__(self):
+        # Pickle and copy the entries alone, never the cached integer form.
+        return Dist, (self._entries,)
 
 
 def dist_make(pairs: Iterable[Tuple[Atom, Rational]]) -> Dist:
@@ -187,7 +206,10 @@ def parse_weight(text: str) -> Rational:
     if m is None:
         raise DecodeError(f"malformed weight {text!r}, expected \"num/den\"")
     num, den = m.group(1), m.group(2)
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ValueError:  # more digits than int() converts
+        raise DecodeError(f"too many digits in a weight of {len(text)} characters") from None
 
 
 def dist_to_obj(d: Dist) -> list:

@@ -27,19 +27,68 @@ from .distributions import Dist, Rational, ONE, convex_combine, d_unit, exact
 from .errors import InvalidProbability, NotAWeightVector, ParseError
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Node:
+    """Structural ``==``, ``hash`` and ``repr`` for the term classes, as
+    loops: the methods a dataclass generates recurse, so a deep term would
+    overflow the stack. ``==`` and ``hash`` visit a shared subterm once.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b):
+                return False
+            if type(a) is Leaf:
+                if a.atom != b.atom:
+                    return False
+            elif type(a) is Mix and a.p != b.p:
+                return False
+            else:
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return fold(self, lambda n: hash(n.atom), lambda left, right: hash((left, right)),
+                    lambda p, left, right: hash((p, left, right)))
+
+    def __repr__(self):
+        # The dataclass format; a str on the stack is finished text.
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+            elif type(node) is Leaf:
+                out.append(f"Leaf(atom={node.atom!r})")
+            else:
+                out.append("Or(left=" if type(node) is Or else f"Mix(p={node.p!r}, left=")
+                stack += (")", node.right, ", right=", node.left)
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Node):
     atom: str
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Mix:
+@dataclass(frozen=True, eq=False, repr=False)
+class Mix(_Node):
     p: Rational
     left: "Term"
     right: "Term"
@@ -303,7 +352,7 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<open>\()|(?P<close>\))|(?P<atom>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>-?\d+(?:/\d+)?)|(?P<bad>\S))"
+    r"|(?P<number>-?[0-9]+(?:/[0-9]+)?)|(?P<bad>\S))"
 )
 
 
@@ -367,6 +416,8 @@ def parse_term(text: str) -> Term:
                 frames.append((Fraction(value), []))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {value!r}", pos) from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError("too many digits in a rational", pos) from None
             continue
         # t is complete: it closes every mix it is the right operand of.
         while frames and frames[-1][0] is not None and frames[-1][1]:

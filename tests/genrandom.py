@@ -3,10 +3,13 @@
 Everything is driven by a caller-supplied ``random.Random`` so that every
 test run is reproducible; all values are exact rationals built from integer
 draws (no floats anywhere). :func:`fuzzed_text` is a hypothesis strategy
-built on :func:`term`; it imports hypothesis when called, so the benchmark,
-which reuses these builders, does not load it.
+built on :func:`term`, and :func:`fuzzed_json` one for ``csl base``'s
+input; each imports hypothesis when called, so the benchmark, which reuses
+these builders, does not load it.
 """
 
+import json
+import sys
 from fractions import Fraction
 from random import Random
 from typing import List, Sequence
@@ -134,4 +137,46 @@ def fuzzed_text():
         st.builds(lambda ts, more: " ".join(ts + more), prefix, extra),
         st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12).map(" ".join),
         st.text(alphabet="()ormix y1/2-!", max_size=24),
+    )
+
+
+FUZZ_KEYS = ("base", "generators", "atom", "weight")
+FUZZ_ATOMS = ("x", "y", "z", "9bad", "", "x y")
+FUZZ_WEIGHTS = ("1/1", "1/2", "2/3", "0/1", "-1/2", "3/2", "1/0", "1", "01/02", "0.5", "1 /2",
+                "\u0661/1", "1/" + "1" * (sys.get_int_max_str_digits() + 1))
+
+
+def fuzzed_json():
+    """Text for ``csl base``: JSON documents of random shape, mostly
+    malformed. Generator sets mix well-formed distributions (weights that
+    sum to 1) with lists of random entries (atoms and weight strings drawn
+    from the grammar's edge cases); besides them come values of any shape,
+    nesting and keys, texts cut off at a random point, and random
+    characters.
+    """
+    from hypothesis import strategies as st
+
+    valid = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(1, 5)), min_size=1, max_size=3).map(
+        lambda pairs: [{"atom": a, "weight": f"{m}/{sum(m for _, m in pairs)}"} for a, m in pairs]
+    )
+    atom = st.sampled_from(FUZZ_ATOMS) | st.text(max_size=3)
+    weight = st.sampled_from(FUZZ_WEIGHTS) | st.builds("{}/{}".format, st.integers(-2, 9), st.integers(0, 9))
+    entries = st.lists(st.fixed_dictionaries({"atom": atom, "weight": weight}), min_size=1, max_size=3)
+    key = st.sampled_from(FUZZ_KEYS) | st.text(max_size=3)
+    scalar = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | atom | weight
+    anything = st.recursive(
+        scalar | valid | entries,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(key, inner, max_size=3),
+        max_leaves=20,
+    )
+    doc = st.one_of(
+        st.builds(lambda k, dists: {k: dists}, st.sampled_from(FUZZ_KEYS[:2]), st.lists(valid | entries, max_size=5)),
+        st.dictionaries(key, st.lists(valid | entries | anything, max_size=5) | anything, min_size=1, max_size=2),
+        anything,
+    )
+    text = doc.map(json.dumps)
+    return st.one_of(
+        text,
+        text.flatmap(lambda t: st.integers(0, len(t)).map(lambda cut: t[:cut])),
+        st.text(alphabet='{}[]":,/-0123456789 abeginorstwxyz\u0661', max_size=40),
     )

@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csl.cli import main
-from genrandom import fuzzed_text
+from genrandom import fuzzed_json, fuzzed_text
 
 DEMO_GOLDEN = """\
 f maps x -> a, y -> a, z -> b
@@ -248,6 +250,37 @@ def test_base_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "base", "--file", str(tmp_path / "missing.json"))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"generators":[[{"atom":"x","weight":"\u0661/1"}]]}',
+    '{"generators":[[{"atom":"x","weight":"1/1%s"}]]}' % ("0" * sys.get_int_max_str_digits()),
+    '{"generators":%s}' % ("1" * (sys.get_int_max_str_digits() + 1)),
+], ids=["non-ascii-digit", "weight-past-the-digit-limit", "json-number-past-the-digit-limit"])
+def test_base_bad_number_exits_2(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "base")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_base_file_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_bytes(b'{"generators":[[{"atom":"\xff","weight":"1/1"}]]}')
+    code, _, err = run(capsys, "base", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@settings(max_examples=200)
+@given(fuzzed_json())
+def test_fuzzed_base_input_exits_with_a_documented_code(text):
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["base"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- demo ----------------------------------------------------------------------

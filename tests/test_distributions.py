@@ -1,3 +1,6 @@
+import copy
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from csl import (
     dist_make,
     dist_to_obj,
 )
+from csl.distributions import parse_weight
 from csl.errors import DecodeError
 
 F = Fraction
@@ -251,6 +255,20 @@ def test_json_rejects_bad_weight_text():
         dist_from_obj([{"atom": "x", "weight": "1/0"}])
 
 
+@pytest.mark.parametrize("text", ["\u0663/4", "3/\u0664", "\uff13/4", "-\u0661/1"])
+def test_weights_take_ascii_digits_only(text):
+    with pytest.raises(DecodeError):
+        parse_weight(text)
+
+
+def test_weight_past_the_digit_limit_is_a_decode_error():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(DecodeError):
+        parse_weight(f"1/{digits}")
+    with pytest.raises(DecodeError):
+        parse_weight(digits)
+
+
 def test_json_rejects_bad_shape():
     with pytest.raises(DecodeError):
         dist_from_obj({"atom": "x"})
@@ -279,3 +297,36 @@ def test_dist_is_hashable_value():
     d2 = dist_make([("y", HALF), ("x", HALF)])
     assert hash(d1) == hash(d2)
     assert len({d1, d2}) == 1
+
+
+# --- cached integer form ------------------------------------------------------
+
+
+def test_scaled_form():
+    d = dist_make([("x", F(1, 4)), ("y", F(1, 6)), ("z", F(7, 12))])
+    assert d.scaled() == (12, {"x": 3, "y": 2, "z": 7})
+    assert d.scaled() is d.scaled()
+    assert d_unit("x").scaled() == (1, {"x": 1})
+
+
+def observed(d):
+    return d, hash(d), repr(d), pickle.dumps(d), copy.copy(d), copy.deepcopy(d)
+
+
+@given(st.lists(dists(), min_size=1, max_size=4))
+def test_filled_cache_changes_nothing(ds):
+    inner = list(dict.fromkeys(ds))
+    nested = dist_make([(d, F(1, len(inner))) for d in inner])
+    for d, peers in [(d, ds) for d in ds] + [(nested, [d_unit(inner[0]), nested])]:
+        twin = Dist(d.entries)
+        before = observed(d)
+        order = sorted(peers + [twin])
+        d.scaled()
+        after = observed(d)
+        assert before == after
+        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+        assert not d < twin and not twin < d and d <= twin
+        assert sorted(peers + [twin]) == order
+        for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert clone == d and hash(clone) == hash(d) and repr(clone) == repr(d)
+            assert clone.scaled() == d.scaled()

@@ -1,10 +1,13 @@
+from fractions import Fraction
+from math import lcm
 from random import Random
 
 from csl import _simplex_py, convex_combine, d_unit, member_of_hull
+from csl.distributions import ZERO
 from csl.feasibility import hull_coefficients, kernel_name
 
 from fm_oracle import member_of_hull_fm
-from genrandom import dist, genset, weights
+from genrandom import convex, dist, genset, weights
 
 
 def random_system(rng, max_vars=6, max_rows=6, max_entry=9):
@@ -76,3 +79,63 @@ def test_matches_fourier_motzkin_on_random_instances():
         else:
             agree_false += 1
     assert agree_true > 50 and agree_false > 50
+
+
+def row_scaled_hull_coefficients(d, gens):
+    """The builder ``hull_coefficients`` replaced, kept as its reference:
+    one row per atom of the union of supports, each scaled by the lcm of its
+    own denominators, then the convexity row of ones; the unknowns are the
+    coefficients themselves."""
+    points = [dict(g.entries) for g in gens] + [dict(d.entries)]
+    rows = []
+    for atom in sorted(set().union(*points)):
+        ws = [p.get(atom, ZERO) for p in points]
+        scale = lcm(*(w.denominator for w in ws))
+        rows.append([w.numerator * (scale // w.denominator) for w in ws])
+    rows.append([1] * len(points))
+    result = _simplex_py.hull_witness(rows, len(gens))
+    if result is None:
+        return None
+    den, values = result
+    return [Fraction(v, den) for v in values]
+
+
+def differential_instance(rng, kind):
+    """Generators and a target of one of four kinds; half the targets are
+    combinations of the generators, half drawn on their own."""
+    if kind == "nested":  # atoms are convex sets, as c_mult builds them
+        atoms = list(dict.fromkeys(convex(rng, atoms=("x", "y"), max_gens=3) for _ in range(4)))
+    else:
+        atoms = ["w", "x", "y", "z"]
+    gens = genset(rng, atoms=atoms, max_gens=4)
+    if kind == "repeated":
+        gens += rng.choices(gens, k=rng.randint(1, 3))
+        rng.shuffle(gens)
+    if kind == "dirac":
+        return gens, d_unit(rng.choice(atoms))
+    if kind == "outside":  # weight on an atom no generator has
+        return gens, convex_combine(weights(rng, 2), [dist(rng, atoms=atoms), d_unit("v")])
+    if rng.randint(0, 1):
+        return gens, convex_combine(weights(rng, len(gens)), gens)
+    return gens, dist(rng, atoms=atoms)
+
+
+def test_matches_the_row_scaled_builder_and_fourier_motzkin():
+    rng = Random(5150)
+    seen = set()
+    for trial in range(400):
+        kind = ("plain", "dirac", "outside", "repeated", "nested")[trial % 5]
+        gens, target = differential_instance(rng, kind)
+        want = member_of_hull_fm(target, gens)
+        assert (row_scaled_hull_coefficients(target, gens) is not None) == want
+        coeffs = hull_coefficients(target, gens)
+        assert (coeffs is not None) == want
+        if coeffs is not None:
+            assert all(c >= 0 for c in coeffs)
+            assert sum(coeffs) == 1
+            assert convex_combine(coeffs, gens) == target
+        seen.add((kind, want))
+    # every kind meets both answers, except an outside atom, which is never in the hull
+    assert seen == {
+        (kind, answer) for kind in ("plain", "dirac", "repeated", "nested") for answer in (True, False)
+    } | {("outside", False)}

@@ -36,7 +36,7 @@ from csl import (
     substitute,
 )
 
-from csl.terms import np_summands
+from csl.terms import NPForm, np_summands
 from genrandom import convex, dist, fuzzed_text, weights
 
 F = Fraction
@@ -139,6 +139,24 @@ def test_parse_error_positions():
     assert err.value.position == 5
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(mix \u0661/\u0662 a b)", 5),  # Arabic-Indic digits
+    ("(mix 1/\u0662 a b)", 6),  # "1" is a number, so the "/" after it is stray
+    ("(mix \uff11/2 a b)", 5),  # a fullwidth digit
+])
+def test_parse_takes_ascii_digits_only(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_term(text)
+    assert err.value.position == position
+
+
+def test_parse_rejects_rationals_past_the_digit_limit():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError) as err:
+        parse_term(f"(mix 1/{digits} a b)")
+    assert err.value.position == 5
+
+
 def test_print_examples():
     assert print_term(Or(X, Y)) == "(or x y)"
     assert print_term(Mix(HALF, X, Y)) == "(mix 1/2 x y)"
@@ -164,6 +182,31 @@ def test_parse_returns_a_term_or_raises_a_parse_error(text):
     except (ParseError, InvalidProbability):
         return
     assert parse_term(print_term(t)) == t
+
+
+def reference_repr(t):
+    """The dataclass format, recursively."""
+    if isinstance(t, Leaf):
+        return f"Leaf(atom={t.atom!r})"
+    if isinstance(t, Or):
+        return f"Or(left={reference_repr(t.left)}, right={reference_repr(t.right)})"
+    return f"Mix(p={t.p!r}, left={reference_repr(t.left)}, right={reference_repr(t.right)})"
+
+
+@given(terms_st, terms_st)
+def test_equality_hash_and_repr_follow_structure(t, u):
+    assert (t == u) == (print_term(t) == print_term(u))
+    assert (t != u) == (print_term(t) != print_term(u))
+    assert t == parse_term(print_term(t))
+    assert hash(t) == hash(parse_term(print_term(t)))
+    assert repr(t) == reference_repr(t)
+
+
+def test_terms_differ_from_other_types():
+    assert X != "x"
+    assert Or(X, Y) != Mix(HALF, X, Y)
+    assert Mix(HALF, X, Y) != Mix(THIRD, X, Y)
+    assert len({X, Leaf("x"), Or(X, Y), Or(Leaf("x"), Leaf("y"))}) == 2
 
 
 # --- n-p form predicate -------------------------------------------------------------
@@ -462,12 +505,22 @@ def deep_chain(leaf="a"):
     return "(mix 1/2 " * DEPTH + leaf + " b)" * DEPTH
 
 
-# Terms this deep are compared through their text: dataclass == recurses.
-
-
 def test_deep_parse_print_round_trip():
     text = deep_chain("(or a c)")
     assert print_term(parse_term(text)) == text
+
+
+def test_deep_terms_compare_hash_and_print():
+    a, b = parse_term(deep_chain()), parse_term(deep_chain())
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != parse_term(deep_chain("c"))
+    assert repr(a) == "Mix(p=Fraction(1, 2), left=" * DEPTH + "Leaf(atom='a')" + ", right=Leaf(atom='b'))" * DEPTH
+
+
+def test_deep_summand_in_a_rejected_np_form():
+    with pytest.raises(ValueError, match="not purely probabilistic"):
+        NPForm((parse_term(deep_chain("(or a c)")),))
 
 
 def test_deep_rewrite_np():
@@ -499,6 +552,13 @@ def shared_tower(levels):
     for k in range(levels):
         t = Mix(THIRD, t, t) if k % 2 else Or(t, t)
     return t
+
+
+def test_shared_subterms_are_compared_and_hashed_once():
+    # 2**64 paths: a walk that does not share would never finish.
+    assert shared_tower(64) == shared_tower(64)
+    assert hash(shared_tower(64)) == hash(shared_tower(64))
+    assert shared_tower(64) != shared_tower(63)
 
 
 def test_shared_subterms_are_evaluated_once():
