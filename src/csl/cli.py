@@ -2,9 +2,10 @@
 
 Exit codes follow scripting conventions: 0 for success (and for "equal"),
 1 for a semantic "no" (``eq`` on inequivalent terms), 2 for any input
-error (unparsable term, malformed JSON, bad weights), 3 for an internal or
-resource failure on well-formed input (a failed exactness check in the
-simplex kernel, or a ``RecursionError`` should any walk still recurse).
+error (unparsable term, malformed JSON or JSON nested too deeply for the
+decoder, bad weights), 3 for an internal or resource failure on
+well-formed input (a failed exactness check in the simplex kernel, or a
+``RecursionError`` should any walk still recurse).
 Errors print one ``error: ...`` line to stderr, never a traceback.
 """
 
@@ -72,6 +73,8 @@ def cmd_base(args) -> int:
         obj = json.loads(text)
     except ValueError as exc:  # not UTF-8, not JSON, or a number past int()'s digits
         raise DecodeError(str(exc)) from None
+    except RecursionError:  # json.loads recurses once per level of nesting
+        raise DecodeError("JSON nested too deeply") from None
     s = set_from_obj(obj)
     print(dumps(set_to_obj(s)))
     return 0

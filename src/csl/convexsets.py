@@ -36,11 +36,13 @@ from .feasibility import hull_coefficients
 def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     """Is ``d`` a convex combination of the given distributions?
 
-    Decided exactly: one linear equality per atom in the union of supports
-    plus the condition that the coefficients are nonnegative and sum to 1,
-    solved by :func:`hull_coefficients`. A generator equal to ``d``, or an
-    atom of ``d`` that no generator has, settles the answer without it; both
-    tests run on the cached integer forms (``Dist.scaled``).
+    Decided exactly on the cached integer forms (``Dist.scaled``). A
+    generator equal to ``d`` answers yes. An atom whose weight in ``d`` is
+    strictly above, or strictly below, its weight in every generator answers
+    no, since every convex combination keeps it between the two; this covers
+    an atom no generator has and every Dirac ``d`` outside the hull. Otherwise
+    :func:`hull_coefficients` solves one linear equality per atom over
+    nonnegative coefficients that sum to 1.
     """
     gen_list = list(gens)
     if not gen_list:
@@ -49,8 +51,20 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     form = d.scaled()
     if form in cols:
         return True
-    if not form[1].keys() <= set().union(*(c for _, c in cols)):
-        return False
+    scale, target = form
+    # An atom that neither d nor the first generator has weighs 0 in both,
+    # so it is neither above nor below every generator.
+    for atom in target.keys() | cols[0][1].keys():
+        x = target.get(atom, 0)
+        above = below = True
+        for dg, g in cols:
+            diff = x * dg - g.get(atom, 0) * scale
+            above = above and diff > 0
+            below = below and diff < 0
+            if not (above or below):
+                break
+        else:
+            return False
     return hull_coefficients(d, gen_list) is not None
 
 
@@ -90,6 +104,13 @@ class ConvexSet:
         if not gens:
             raise ValueError("a convex set needs at least one generator")
         self._base = tuple(_extract_base(gens))
+
+    @classmethod
+    def _of_base(cls, base: Iterable[Dist]) -> "ConvexSet":
+        """The set whose base is ``base``, known to be distinct extreme points."""
+        s = cls.__new__(cls)
+        s._base = tuple(sorted(base))
+        return s
 
     @property
     def base(self) -> Tuple[Dist, ...]:
@@ -145,17 +166,17 @@ def minkowski(p: Rational, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
     """Elementwise p-weighted mixture of two convex sets.
 
     Operating on the bases is enough: mixing the hulls equals the hull of
-    the pairwise mixes.
+    the pairwise mixes. With a one-point side ``a``, ``b -> p*a + q*b`` is
+    an injective affine map, so the mixes are already the base, up to order.
     """
     p = exact(p)
     if not 0 < p < 1:
         raise InvalidProbability(f"mixing probability must lie in (0,1), got {p}")
     q = ONE - p
-    return ConvexSet(
-        convex_combine([p, q], [b1, b2])
-        for b1 in s1.base
-        for b2 in s2.base
-    )
+    mixes = [convex_combine([p, q], [b1, b2]) for b1 in s1.base for b2 in s2.base]
+    if len(s1.base) == 1 or len(s2.base) == 1:
+        return ConvexSet._of_base(mixes)
+    return ConvexSet(mixes)
 
 
 def c_unit(atom: Atom) -> ConvexSet:

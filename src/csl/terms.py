@@ -28,9 +28,10 @@ from .errors import InvalidProbability, NotAWeightVector, ParseError
 
 
 class _Node:
-    """Structural ``==``, ``hash`` and ``repr`` for the term classes, as
-    loops: the methods a dataclass generates recurse, so a deep term would
-    overflow the stack. ``==`` and ``hash`` visit a shared subterm once.
+    """Structural ``==``, ``hash``, ``repr`` and pickling for the term
+    classes, as loops: the methods a dataclass generates recurse, and so do
+    ``pickle`` and ``copy`` on nested objects, so a deep term would overflow
+    the stack. ``==``, ``hash`` and pickling visit a shared subterm once.
     """
 
     __slots__ = ()
@@ -74,6 +75,28 @@ class _Node:
                 out.append("Or(left=" if type(node) is Or else f"Mix(p={node.p!r}, left=")
                 stack += (")", node.right, ", right=", node.left)
         return "".join(out)
+
+    def __reduce__(self):
+        # One flat row per distinct node, in post-order: (Leaf, atom),
+        # (Or, left, right) or (Mix, p, left, right), children by row number.
+        rows = []
+
+        def row(*fields):
+            rows.append(fields)
+            return len(rows) - 1
+
+        fold(self, lambda n: row(Leaf, n.atom), lambda *c: row(Or, *c), lambda *c: row(Mix, *c))
+        return _from_rows, (tuple(rows),)
+
+
+def _from_rows(rows):
+    """Rebuild a term from the rows of :meth:`_Node.__reduce__`."""
+    nodes = []
+    for cls, *fields in rows:
+        if cls is not Leaf:
+            fields[-2:] = nodes[fields[-2]], nodes[fields[-1]]
+        nodes.append(cls(*fields))
+    return nodes[-1]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -246,6 +246,14 @@ def test_base_bad_distribution_exits_2(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_base_json_nested_past_the_decoder_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    code, out, err = run(capsys, "base")
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON nested too deeply\n"
+
+
 def test_base_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "base", "--file", str(tmp_path / "missing.json"))
     assert code == 2

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from csl import (
+    ConvexSet,
     InvalidProbability,
     c_map,
     c_mult,
@@ -178,6 +179,22 @@ def test_minkowski_idempotent():
     for _ in range(20):
         s = convex(rng)
         assert minkowski(prob(rng), s, s) == s
+
+
+def test_minkowski_with_a_one_point_side_equals_extraction_over_all_pairs():
+    rng = Random(6023)
+    wide = 0
+    for trial in range(80):
+        make = nested if trial % 2 else convex  # nested: atoms are sets, as c_mult builds
+        s, point = make(rng), from_generators([rng.choice(make(rng).base)])
+        p = prob(rng)
+        for s1, s2 in ((s, point), (point, s), (point, point)):
+            got = minkowski(p, s1, s2)
+            want = ConvexSet(convex_combine([p, 1 - p], [b1, b2]) for b1 in s1.base for b2 in s2.base)
+            assert got.base == want.base
+            assert hash(got) == hash(want)
+        wide += len(s) > 1
+    assert wide > 20
 
 
 def test_minkowski_rejects_degenerate_probability():

@@ -101,8 +101,9 @@ def row_scaled_hull_coefficients(d, gens):
 
 
 def differential_instance(rng, kind):
-    """Generators and a target of one of four kinds; half the targets are
-    combinations of the generators, half drawn on their own."""
+    """Generators and a target of one of six kinds; half the plain, repeated
+    and nested targets are combinations of the generators, half drawn on
+    their own."""
     if kind == "nested":  # atoms are convex sets, as c_mult builds them
         atoms = list(dict.fromkeys(convex(rng, atoms=("x", "y"), max_gens=3) for _ in range(4)))
     else:
@@ -115,6 +116,9 @@ def differential_instance(rng, kind):
         return gens, d_unit(rng.choice(atoms))
     if kind == "outside":  # weight on an atom no generator has
         return gens, convex_combine(weights(rng, 2), [dist(rng, atoms=atoms), d_unit("v")])
+    if kind == "missing":  # no weight on an atom every generator has
+        gens = [convex_combine(weights(rng, 2), [g, d_unit("v")]) for g in gens]
+        return gens, dist(rng, atoms=atoms)
     if rng.randint(0, 1):
         return gens, convex_combine(weights(rng, len(gens)), gens)
     return gens, dist(rng, atoms=atoms)
@@ -139,3 +143,43 @@ def test_matches_the_row_scaled_builder_and_fourier_motzkin():
     assert seen == {
         (kind, answer) for kind in ("plain", "dirac", "repeated", "nested") for answer in (True, False)
     } | {("outside", False)}
+
+
+def record_lp_calls(monkeypatch):
+    """The targets that ``member_of_hull`` hands to the LP from now on."""
+    calls = []
+
+    def recording(d, gens):
+        calls.append(d)
+        return hull_coefficients(d, gens)
+
+    monkeypatch.setattr("csl.convexsets.hull_coefficients", recording)
+    return calls
+
+
+def test_bound_prefilter_says_outside_only_when_the_lp_and_fourier_motzkin_do(monkeypatch):
+    calls = record_lp_calls(monkeypatch)
+    rng = Random(6021)
+    kinds = ("plain", "dirac", "outside", "missing", "repeated", "nested")
+    settled = dict.fromkeys(kinds, 0)
+    for trial in range(480):
+        kind = kinds[trial % len(kinds)]
+        gens, target = differential_instance(rng, kind)
+        calls.clear()
+        got = member_of_hull(target, gens)
+        assert got == member_of_hull_fm(target, gens)
+        if not got and not calls:  # the bound test answered
+            assert hull_coefficients(target, gens) is None
+            settled[kind] += 1
+    assert all(settled[kind] > 10 for kind in kinds)
+
+
+def test_dirac_outside_and_missing_atom_targets_reach_no_lp(monkeypatch):
+    calls = record_lp_calls(monkeypatch)
+    rng = Random(6022)
+    answers = set()
+    for trial in range(300):
+        gens, target = differential_instance(rng, ("dirac", "outside", "missing")[trial % 3])
+        answers.add(member_of_hull(target, gens))
+    assert calls == []
+    assert answers == {True, False}

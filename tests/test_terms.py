@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from random import Random
@@ -559,6 +561,18 @@ def test_shared_subterms_are_compared_and_hashed_once():
     assert shared_tower(64) == shared_tower(64)
     assert hash(shared_tower(64)) == hash(shared_tower(64))
     assert shared_tower(64) != shared_tower(63)
+
+
+@pytest.mark.parametrize("copier", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_deep_and_shared_terms_pickle_and_copy(copier):
+    deep = parse_term(deep_chain("(or a c)"))
+    got = copier(deep)
+    assert got is not deep and got == deep and hash(got) == hash(deep)
+    shared = copier(shared_tower(64))  # 2**64 paths: a copy that does not share never ends
+    assert shared == shared_tower(64) and shared.left is shared.right
+    odd = Or(Leaf("not an atom name"), Mix(THIRD, X, Y))  # atoms that print_term cannot round-trip
+    assert copier(odd) == odd
 
 
 def test_shared_subterms_are_evaluated_once():
