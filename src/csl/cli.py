@@ -4,7 +4,7 @@ Exit codes follow scripting conventions: 0 for success (and for "equal"),
 1 for a semantic "no" (``eq`` on inequivalent terms), 2 for any input
 error (unparsable term, malformed JSON or JSON nested too deeply for the
 decoder, bad weights), 3 for an internal or resource failure on
-well-formed input (a failed exactness check in the simplex kernel, or a
+well-formed input (a failed exactness check, running out of memory, or a
 ``RecursionError`` should any walk still recurse).
 Errors print one ``error: ...`` line to stderr, never a traceback.
 """
@@ -155,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, ArithmeticError) as exc:
+    except (RecursionError, ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

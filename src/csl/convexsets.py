@@ -36,29 +36,27 @@ from .feasibility import hull_coefficients
 def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     """Is ``d`` a convex combination of the given distributions?
 
-    Decided exactly on the cached integer forms (``Dist.scaled``). A
-    generator equal to ``d`` answers yes. An atom whose weight in ``d`` is
-    strictly above, or strictly below, its weight in every generator answers
-    no, since every convex combination keeps it between the two; this covers
-    an atom no generator has and every Dirac ``d`` outside the hull. Otherwise
-    :func:`hull_coefficients` solves one linear equality per atom over
-    nonnegative coefficients that sum to 1.
+    Decided exactly on the stored integer forms (``Dist.den`` and
+    ``Dist.nums``). A generator equal to ``d`` answers yes. An atom whose
+    weight in ``d`` is strictly above, or strictly below, its weight in every
+    generator answers no, since every convex combination keeps it between the
+    two; this covers an atom no generator has and every Dirac ``d`` outside
+    the hull. Otherwise :func:`hull_coefficients` solves one linear equality
+    per atom over nonnegative coefficients that sum to 1.
     """
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("generator set must be non-empty")
-    cols = [g.scaled() for g in gen_list]
-    form = d.scaled()
-    if form in cols:
+    if d in gen_list:
         return True
-    scale, target = form
+    scale, target = d.den, d.nums
     # An atom that neither d nor the first generator has weighs 0 in both,
     # so it is neither above nor below every generator.
-    for atom in target.keys() | cols[0][1].keys():
+    for atom in target.keys() | gen_list[0].nums.keys():
         x = target.get(atom, 0)
         above = below = True
-        for dg, g in cols:
-            diff = x * dg - g.get(atom, 0) * scale
+        for g in gen_list:
+            diff = x * g.den - g.nums.get(atom, 0) * scale
             above = above and diff > 0
             below = below and diff < 0
             if not (above or below):

@@ -1,18 +1,21 @@
 """Finitely supported probability distributions with exact rational weights.
 
-Weights are `fractions.Fraction` values throughout: every operation is exact
-and no float is ever accepted or produced. Atoms are plain strings at the
-user-facing boundary, but every operation here is generic over any hashable,
-totally ordered atom type, so distributions over distributions (or over
-convex sets) reuse the same machinery when values are nested.
+Weights are stored as integers over one denominator, so every operation is
+exact integer arithmetic and no float is ever accepted or produced;
+`fractions.Fraction` appears only at the boundary (given weights and the
+``entries`` view). Atoms are plain strings at the user-facing boundary, but
+every operation here is generic over any hashable, totally ordered atom
+type, so distributions over distributions (or over convex sets) reuse the
+same machinery when values are nested.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Hashable, Iterable, Tuple
+from functools import total_ordering
+from math import gcd, lcm
+from typing import Callable, Dict, Hashable, Iterable, Tuple
 
 from .errors import DecodeError, NotADistribution, NotAWeightVector
 
@@ -33,18 +36,21 @@ def exact(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+@total_ordering
 class Dist:
     """An exact, finitely supported probability distribution.
 
-    Entries are kept sorted by atom, duplicate atoms are merged on
-    construction, zero weights are dropped, and the weights must sum to
-    exactly 1 (otherwise :class:`NotADistribution` is raised). Instances
-    are immutable value objects: equality, hashing and the total order
-    all follow the sorted entry list. The integer form that
-    :meth:`scaled` caches takes no part in any of them.
+    Built from ``(atom, weight)`` pairs: duplicate atoms are merged, zero
+    weights are dropped, and the weights must be nonnegative and sum to
+    exactly 1 (otherwise :class:`NotADistribution` is raised). Stored as
+    ``den`` and ``nums``, a dict sorted by atom of positive integers with
+    gcd 1 that sum to ``den``: atom ``a`` weighs ``nums[a] / den``. The form
+    is unique, so equality and hashing follow ``nums``; the total order is
+    that of the :attr:`entries` tuples. Instances are immutable value
+    objects, and callers must not change ``nums``.
     """
 
-    __slots__ = ("_entries", "_scaled")
+    __slots__ = ("den", "nums")
 
     def __init__(self, pairs: Iterable[Tuple[Atom, Rational]]):
         acc: dict = {}
@@ -56,69 +62,71 @@ class Dist:
                 acc[atom] += w
             else:
                 acc[atom] = w
-        total = sum(acc.values(), ZERO)
-        if total != ONE:
-            raise NotADistribution(f"weights sum to {total}, expected exactly 1")
-        self._entries = tuple(sorted((a, w) for a, w in acc.items() if w != 0))
+        den = lcm(*(w.denominator for w in acc.values()))
+        ints = {a: w.numerator * (den // w.denominator) for a, w in acc.items()}
+        total = sum(ints.values())
+        if total != den:
+            raise NotADistribution(f"weights sum to {Fraction(total, den)}, expected exactly 1")
+        self._store(den, ints)
+
+    def _store(self, den: int, ints: Dict[Atom, int]) -> "Dist":
+        """Hold ``ints[a] / den``, ints nonnegative, in canonical form; every
+        construction ends here. A sum other than ``den`` is an ArithmeticError."""
+        nums = {a: ints[a] for a in sorted(a for a, n in ints.items() if n)}
+        if sum(nums.values()) != den:
+            raise ArithmeticError(f"integer weights do not sum to their denominator {den}")
+        g = gcd(*nums.values())
+        if g > 1:
+            den //= g
+            nums = {a: n // g for a, n in nums.items()}
+        self.den = den
+        self.nums = nums
+        return self
 
     @property
     def entries(self) -> Tuple[Tuple[Atom, Rational], ...]:
-        return self._entries
+        """The ``(atom, Fraction)`` pairs, sorted by atom."""
+        return tuple((a, Fraction(n, self.den)) for a, n in self.nums.items())
 
     @property
     def atoms(self) -> Tuple[Atom, ...]:
-        return tuple(a for a, _ in self._entries)
-
-    def scaled(self) -> Tuple[int, dict]:
-        """The integer form ``(D, {atom: w * D})``, D the lcm of the weights'
-        denominators, so the integers sum to D. Computed on the first call
-        and cached; the dict is shared, so callers must not change it.
-        """
-        try:
-            return self._scaled
-        except AttributeError:
-            pass
-        scale = lcm(*(w.denominator for _, w in self._entries))
-        self._scaled = (scale, {a: w.numerator * (scale // w.denominator) for a, w in self._entries})
-        return self._scaled
+        return tuple(self.nums)
 
     def weight(self, atom: Atom) -> Rational:
-        for a, w in self._entries:
-            if a == atom:
-                return w
-        return ZERO
+        return Fraction(self.nums.get(atom, 0), self.den)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
-        return self._entries == other._entries
+        return self.nums == other.nums
 
     def __lt__(self, other) -> bool:
+        """Order as the entries tuples do, comparing weights by cross-multiplying."""
         if not isinstance(other, Dist):
             return NotImplemented
-        return self._entries < other._entries
-
-    def __le__(self, other) -> bool:
-        if not isinstance(other, Dist):
-            return NotImplemented
-        return self._entries <= other._entries
+        for (a, n), (b, m) in zip(self.nums.items(), other.nums.items()):
+            if a != b:
+                return a < b
+            x, y = n * other.den, m * self.den
+            if x != y:
+                return x < y
+        return False  # equal: both sum to 1, so neither is a proper prefix
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(tuple(self.nums.items()))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{w}*{a!r}" for a, w in self._entries)
+        body = " + ".join(f"{w}*{a!r}" for a, w in self.entries)
         return f"Dist({body})"
 
     def __reduce__(self):
-        # Pickle and copy the entries alone, never the cached integer form.
-        return Dist, (self._entries,)
+        return Dist, (self.entries,)
 
 
 def dist_make(pairs: Iterable[Tuple[Atom, Rational]]) -> Dist:
@@ -131,7 +139,7 @@ def dist_make(pairs: Iterable[Tuple[Atom, Rational]]) -> Dist:
 
 def d_unit(atom: Atom) -> Dist:
     """The Dirac distribution putting all mass on one atom."""
-    return Dist([(atom, ONE)])
+    return Dist.__new__(Dist)._store(1, {atom: 1})
 
 
 def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
@@ -146,22 +154,20 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
         raise NotAWeightVector(
             f"{len(ws)} weights for {len(ds)} distributions (need equal, nonzero length)"
         )
-    negative = [w for w in ws if w < 0]
+    negative = [w for w in ws if w.numerator < 0]
     if negative:
         raise NotAWeightVector(f"negative weight {negative[0]}")
-    total = sum(ws, ZERO)
-    if total != ONE:
-        raise NotAWeightVector(f"weights sum to {total}, expected exactly 1")
+    q = lcm(*(w.denominator for w in ws))
+    if sum(w.numerator * (q // w.denominator) for w in ws) != q:
+        raise NotAWeightVector(f"weights sum to {sum(ws, ZERO)}, expected exactly 1")
+    # Weight p/r on a dist over D scales its integers by p over r*D.
+    den = lcm(*(w.denominator * d.den for w, d in zip(ws, ds)))
     acc: dict = {}
     for w, d in zip(ws, ds):
-        if w == 0:
-            continue
-        for atom, dw in d.entries:
-            if atom in acc:
-                acc[atom] += w * dw
-            else:
-                acc[atom] = w * dw
-    return Dist(acc.items())
+        k = w.numerator * (den // (w.denominator * d.den))
+        for atom, n in d.nums.items():
+            acc[atom] = acc.get(atom, 0) + k * n
+    return Dist.__new__(Dist)._store(den, acc)
 
 
 def d_map(f: Callable[[Atom], Atom], d: Dist) -> Dist:
@@ -170,13 +176,10 @@ def d_map(f: Callable[[Atom], Atom], d: Dist) -> Dist:
     Atoms identified by ``f`` have their weights merged.
     """
     acc: dict = {}
-    for atom, w in d.entries:
+    for atom, n in d.nums.items():
         image = f(atom)
-        if image in acc:
-            acc[image] += w
-        else:
-            acc[image] = w
-    return Dist(acc.items())
+        acc[image] = acc.get(image, 0) + n
+    return Dist.__new__(Dist)._store(d.den, acc)
 
 
 def d_mult(big) -> Dist:
@@ -187,7 +190,7 @@ def d_mult(big) -> Dist:
     way as :func:`dist_make`).
     """
     outer = big if isinstance(big, Dist) else Dist(big)
-    return convex_combine([w for _, w in outer.entries], [d for d, _ in outer.entries])
+    return convex_combine([w for _, w in outer.entries], outer.atoms)
 
 
 # --- JSON encoding ----------------------------------------------------------

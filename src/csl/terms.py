@@ -274,7 +274,7 @@ def rewrite_np(t: Term) -> NPForm:
             for b, db in right
         ],
     )
-    summands.sort(key=lambda sd: sd[1].entries)
+    summands.sort(key=lambda sd: sd[1])
     return NPForm(tuple(s for s, _ in summands))
 
 

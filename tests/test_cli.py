@@ -153,7 +153,9 @@ def test_eq_answers_terms_nested_past_the_recursion_limit(capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("exc", [RecursionError("too deep"), ArithmeticError("kernel check")])
+@pytest.mark.parametrize(
+    "exc", [RecursionError("too deep"), ArithmeticError("kernel check"), MemoryError()]
+)
 def test_internal_failure_exits_3_without_traceback(capsys, monkeypatch, exc):
     def fail(t1, t2):
         raise exc

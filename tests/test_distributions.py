@@ -2,12 +2,14 @@ import copy
 import pickle
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from csl import (
+    ConvexSet,
     Dist,
     NotADistribution,
     NotAWeightVector,
@@ -30,13 +32,11 @@ HALF = F(1, 2)
 
 
 @st.composite
-def dists(draw, atoms=("w", "x", "y", "z")):
+def dists(draw, atoms=("w", "x", "y", "z"), mass=st.integers(1, 9)):
     support = draw(
         st.lists(st.sampled_from(atoms), min_size=1, max_size=len(atoms), unique=True)
     )
-    masses = draw(
-        st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support))
-    )
+    masses = draw(st.lists(mass, min_size=len(support), max_size=len(support)))
     total = sum(masses)
     return dist_make([(a, F(m, total)) for a, m in zip(support, masses)])
 
@@ -299,34 +299,118 @@ def test_dist_is_hashable_value():
     assert len({d1, d2}) == 1
 
 
-# --- cached integer form ------------------------------------------------------
+# --- integer form -------------------------------------------------------------
 
 
-def test_scaled_form():
+def test_integer_form():
     d = dist_make([("x", F(1, 4)), ("y", F(1, 6)), ("z", F(7, 12))])
-    assert d.scaled() == (12, {"x": 3, "y": 2, "z": 7})
-    assert d.scaled() is d.scaled()
-    assert d_unit("x").scaled() == (1, {"x": 1})
+    assert (d.den, d.nums) == (12, {"x": 3, "y": 2, "z": 7})
+    assert (d_unit("x").den, d_unit("x").nums) == (1, {"x": 1})
+    assert d_map(lambda a: "a", dist_make([("x", F(1, 4)), ("y", F(3, 4))])).nums == {"a": 1}
+
+
+def large_dists(atoms):
+    """Dists over ``atoms`` with small masses (many ties) or large ones
+    (large, mostly coprime denominators)."""
+    return dists(atoms, st.one_of(st.integers(1, 3), st.integers(1, 10**12)))
+
+
+def atom_pools():
+    """Atoms of every kind a Dist holds: names, dists, and convex sets."""
+    names = ("a", "b", "c")
+    inner = [
+        d_unit("a"),
+        dist_make([("a", HALF), ("b", HALF)]),
+        dist_make([("a", F(1, 3)), ("b", F(2, 3))]),
+        dist_make([("a", HALF), ("c", HALF)]),
+    ]
+    sets = [ConvexSet([d]) for d in inner] + [ConvexSet(inner[1:])]
+    return st.sampled_from([names, inner, sets])
+
+
+def assert_integer_form(d):
+    ws = [w for _, w in d.entries]
+    assert d.den == lcm(*(w.denominator for w in ws))
+    assert all(n > 0 for n in d.nums.values())
+    assert sum(d.nums.values()) == d.den
+    assert gcd(*d.nums.values()) == 1
+    assert list(d.nums) == sorted(d.nums)
+    assert ws == [F(n, d.den) for n in d.nums.values()]
+
+
+@given(atom_pools().flatmap(large_dists))
+def test_integer_invariants(d):
+    assert_integer_form(d)
 
 
 def observed(d):
-    return d, hash(d), repr(d), pickle.dumps(d), copy.copy(d), copy.deepcopy(d)
+    return d, hash(d), repr(d), d.entries
 
 
-@given(st.lists(dists(), min_size=1, max_size=4))
-def test_filled_cache_changes_nothing(ds):
+@given(atom_pools().flatmap(lambda atoms: st.lists(large_dists(atoms), min_size=1, max_size=4)))
+def test_rebuilt_and_copied_dists_are_the_same_value(ds):
     inner = list(dict.fromkeys(ds))
     nested = dist_make([(d, F(1, len(inner))) for d in inner])
     for d, peers in [(d, ds) for d in ds] + [(nested, [d_unit(inner[0]), nested])]:
         twin = Dist(d.entries)
-        before = observed(d)
-        order = sorted(peers + [twin])
-        d.scaled()
-        after = observed(d)
-        assert before == after
-        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+        order = sorted(peers + [d])
+        assert observed(twin) == observed(d)
         assert not d < twin and not twin < d and d <= twin
         assert sorted(peers + [twin]) == order
         for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
-            assert clone == d and hash(clone) == hash(d) and repr(clone) == repr(d)
-            assert clone.scaled() == d.scaled()
+            assert observed(clone) == observed(d)
+            assert (clone.den, clone.nums) == (d.den, d.nums)
+
+
+# --- differential: integer arithmetic against Fractions over entries -----------
+
+
+def test_order_on_a_shared_leading_atom():
+    whole, half = d_unit("a"), dist_make([("a", HALF), ("b", HALF)])
+    assert whole.entries > half.entries
+    assert half < whole and half <= whole and not whole < half and not whole <= half
+
+
+@given(atom_pools().flatmap(lambda atoms: st.lists(large_dists(atoms), min_size=2, max_size=6)))
+def test_order_and_equality_agree_with_entries(ds):
+    for x in ds:
+        for y in ds:
+            assert (x < y) == (x.entries < y.entries)
+            assert (x <= y) == (x.entries <= y.entries)
+            assert (x == y) == (x.entries == y.entries)
+    assert [d.entries for d in sorted(ds)] == sorted(d.entries for d in ds)
+
+
+def fraction_sum(pairs):
+    """The entries of ``sum w * d`` computed with Fractions, atoms sorted."""
+    acc = {}
+    for w, d in pairs:
+        for atom, x in d.entries:
+            acc[atom] = acc.get(atom, 0) + w * x
+    return tuple(sorted((a, x) for a, x in acc.items() if x))
+
+
+@given(st.data())
+def test_combine_map_and_mult_agree_with_fractions(data):
+    atoms = data.draw(atom_pools())
+    ds = data.draw(st.lists(large_dists(atoms), min_size=1, max_size=4))
+    ds += data.draw(st.lists(st.sampled_from(ds), max_size=2))  # repeated dists
+    masses = data.draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**9)),
+                                min_size=len(ds), max_size=len(ds)).filter(sum))
+    ws = [F(m, sum(masses)) for m in masses]  # zero weights included
+    image = {a: atoms[0] if i % 2 else a for i, a in enumerate(atoms)}.__getitem__
+    big = dist_make(list(zip(ds, ws)))
+    results = [(convex_combine(ws, ds), fraction_sum(zip(ws, ds))),
+               (d_mult(big), fraction_sum((w, d) for d, w in big.entries))]
+    results += [(d_map(image, d), fraction_sum((w, d_unit(image(a))) for a, w in d.entries)) for d in ds]
+    for got, want in results:
+        assert got.entries == want
+        assert_integer_form(got)
+
+
+def test_combine_reduces_to_the_canonical_form():
+    # 10**9 + 7 and 10**9 + 9 are primes, so the mix keeps their product.
+    x, y = d_unit("x"), dist_make([("x", F(1, 10**9 + 7)), ("y", F(10**9 + 6, 10**9 + 7))])
+    mixed = convex_combine([F(1, 10**9 + 9), F(10**9 + 8, 10**9 + 9)], [x, y])
+    assert mixed.den == (10**9 + 7) * (10**9 + 9)
+    assert convex_combine([HALF, HALF], [y, y]) == y == convex_combine([F(0), F(1)], [x, y])
