@@ -1,20 +1,30 @@
 """Phase-one simplex kernel on integer tableaus.
 
-The tableau is held as arbitrary-precision integers with one shared positive
+The tableau is held as arbitrary-precision integers with one shared
 denominator: the rational value of slot (i, j) is ``tab[i][j] / den``. A
 pivot on (r, c) applies the fraction-free update
 
     tab'[i][j] = (tab[r][c] * tab[i][j] - tab[i][c] * tab[r][j]) // den
 
 to every other row, leaves row r untouched and sets ``den = tab[r][c]``.
-The division is always exact (the entries stay determinants of submatrices
-of the original integer system), so the hot loop performs integer multiply,
-subtract and one exact division per slot instead of Fraction arithmetic.
+The division is exact (the entries stay determinants of submatrices of the
+original integer system), so the hot loop performs integer multiply,
+subtract and one floor division per slot instead of Fraction arithmetic.
+The kernel does not check that exactness cell by cell: ``csl.feasibility``
+verifies every answer against the original system instead, so a broken
+pivot shows as a failed certificate.
 
 Pivots follow Bland's rule: the entering column is the lowest-index one
 with a positive reduced cost, and ratio-test ties are broken towards the
 lowest-index basic variable. That rules out cycling, so the loop always
 terminates. Artificial variables start basic and are never priced back in.
+
+An infeasible system ends with a positive phase-one objective. Its dual at
+the final basis B is the Farkas certificate: with c_B the phase-one costs
+of the basic variables (1 for an artificial, 0 for a column of A), the
+vector y solving ``y B = c_B`` has ``y A <= 0`` (the reduced costs are
+optimal) and ``y b`` equal to the remaining artificial mass, which is
+positive.
 """
 
 
@@ -22,16 +32,18 @@ def hull_witness(rows, ncols):
     """Decide ``A x = b, x >= 0`` for the integer system ``rows = [A | b]``.
 
     Every row must have ``ncols + 1`` entries with a nonnegative last
-    (right-hand side) entry. Returns ``(den, values)`` with the exact
-    solution ``x[j] = values[j] / den`` when the system is feasible, and
-    ``None`` when it is not.
+    (right-hand side) entry. Returns ``(x, y)`` with exactly one of them
+    None. When the system is feasible, ``x = (den, values)`` with the exact
+    solution ``x[j] = values[j] / den``, den positive. When it is not, ``y``
+    is an integer vector, one entry per row, with ``y A <= 0 < y b``.
     """
     m = len(rows)
     n = ncols
     tab = [list(row) for row in rows]
+    columns = list(zip(*rows))
     # Phase-one objective: minimize the artificial variables, expressed as
     # the sum of the constraint rows so reduced costs start consistent.
-    tab.append([sum(tab[i][j] for i in range(m)) for j in range(n + 1)])
+    tab.append(list(map(sum, columns)))
     den = 1
     basis = list(range(n, n + m))
 
@@ -62,23 +74,68 @@ def hull_witness(rows, ncols):
             raise ArithmeticError("unbounded phase-one column")
         piv = tab[row][col]
         prow = tab[row]
-        for i in range(m + 1):
-            if i == row:
+        for trow in tab:
+            if trow is prow:
                 continue
-            trow = tab[i]
             f = trow[col]
-            for j in range(n + 1):
-                q, rem = divmod(piv * trow[j] - f * prow[j], den)
-                if rem:
-                    raise ArithmeticError("inexact fraction-free pivot")
-                trow[j] = q
+            if f:
+                for j in range(n + 1):
+                    trow[j] = (piv * trow[j] - f * prow[j]) // den
+            else:  # the row only moves to the new denominator
+                for j in range(n + 1):
+                    trow[j] = piv * trow[j] // den
         den = piv
         basis[row] = col
 
     if tab[m][n] != 0:
-        return None
+        return None, _farkas(columns, n, basis)
     values = [0] * n
     for i in range(m):
         if basis[i] < n:
             values[basis[i]] = tab[i][n]
-    return den, values
+    return (den, values), None
+
+
+def _farkas(columns, n, basis):
+    """The integer dual ``y`` of the final phase-one basis, up to a positive
+    factor: ``y B = c_B``, given the columns of ``[A | b]``.
+
+    A basic artificial k fixes ``y[k] = 1``. The other entries solve one
+    equation per basic column j of A, ``sum_k A[k][j] y[k] = 0``; there are
+    as many of those columns as unknowns, and B is invertible, so the
+    square system is solved by fraction-free Gauss-Jordan elimination (the
+    pivot update above, with rows swapped so that column c pivots in row c)
+    and every entry is scaled by its final denominator.
+    """
+    m = len(columns[0])
+    free = [k for k in range(m) if k + n not in basis]
+    # One row per basic column of A: its entries on the free rows, then
+    # minus its sum over the fixed ones.
+    system = []
+    for j in basis:
+        if j < n:
+            column = columns[j]
+            entries = [column[k] for k in free]
+            entries.append(sum(entries) - sum(column))
+            system.append(entries)
+    s = len(free)
+    den = 1
+    for c in range(s):
+        r = c
+        while not system[r][c]:
+            r += 1
+        system[c], system[r] = system[r], system[c]
+        prow = system[c]
+        piv = prow[c]
+        for trow in system:
+            if trow is not prow:
+                f = trow[c]
+                # Columns before c are settled and never read again.
+                for j in range(c + 1, s + 1):
+                    trow[j] = (piv * trow[j] - f * prow[j]) // den
+        den = piv
+    sign = 1 if den > 0 else -1
+    y = [sign * den] * m
+    for k, row in zip(free, system):
+        y[k] = sign * row[s]
+    return y

@@ -4,7 +4,8 @@ Exit codes follow scripting conventions: 0 for success (and for "equal"),
 1 for a semantic "no" (``eq`` on inequivalent terms), 2 for any input
 error (unparsable term, malformed JSON or JSON nested too deeply for the
 decoder, bad weights), 3 for an internal or resource failure on
-well-formed input (a failed exactness check, running out of memory, or a
+well-formed input (a failed exactness check, a linear-programming answer
+whose certificate fails its check, running out of memory, or a
 ``RecursionError`` should any walk still recurse).
 Errors print one ``error: ...`` line to stderr, never a traceback.
 """

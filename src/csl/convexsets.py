@@ -15,7 +15,7 @@ nested sets (and their flattening, :func:`c_mult`) are represented.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .distributions import (
     Atom,
@@ -30,7 +30,32 @@ from .distributions import (
     exact,
 )
 from .errors import DecodeError, InvalidProbability
-from .feasibility import hull_coefficients
+from .feasibility import hull_coefficients, separation
+
+
+def _bound_separation(d: Dist, gens: List[Dist]) -> Optional[Dict[Atom, int]]:
+    """A one-atom functional ``{atom: 1}`` or ``{atom: -1}`` separating ``d``
+    from ``gens``, or None when the per-atom bounds do not settle it.
+
+    An atom whose weight in ``d`` is strictly above, or strictly below, its
+    weight in every generator separates, since every convex combination
+    keeps it between the two. Only atoms of ``d`` and of the first
+    generator can: any other weighs 0 in both.
+    """
+    scale, target = d.den, d.nums
+    # The dict union lists d's atoms, then the first generator's others.
+    for atom in target | gens[0].nums:
+        x = target.get(atom, 0)
+        above = below = True
+        for g in gens:
+            diff = x * g.den - g.nums.get(atom, 0) * scale
+            above = above and diff > 0
+            below = below and diff < 0
+            if not (above or below):
+                break
+        else:
+            return {atom: 1 if above else -1}
+    return None
 
 
 def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
@@ -39,50 +64,85 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     Decided exactly on the stored integer forms (``Dist.den`` and
     ``Dist.nums``). A generator equal to ``d`` answers yes. An atom whose
     weight in ``d`` is strictly above, or strictly below, its weight in every
-    generator answers no, since every convex combination keeps it between the
-    two; this covers an atom no generator has and every Dirac ``d`` outside
-    the hull. Otherwise :func:`hull_coefficients` solves one linear equality
-    per atom over nonnegative coefficients that sum to 1.
+    generator answers no; this covers an atom no generator has and every
+    Dirac ``d`` outside the hull. Otherwise :func:`hull_coefficients` solves
+    one linear equality per atom over nonnegative coefficients that sum to
+    1, and verifies the answer before it is used.
     """
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("generator set must be non-empty")
     if d in gen_list:
         return True
-    scale, target = d.den, d.nums
-    # An atom that neither d nor the first generator has weighs 0 in both,
-    # so it is neither above nor below every generator.
-    for atom in target.keys() | gen_list[0].nums.keys():
-        x = target.get(atom, 0)
-        above = below = True
-        for g in gen_list:
-            diff = x * g.den - g.nums.get(atom, 0) * scale
-            above = above and diff > 0
-            below = below and diff < 0
-            if not (above or below):
-                break
-        else:
-            return False
+    if _bound_separation(d, gen_list) is not None:
+        return False
     return hull_coefficients(d, gen_list) is not None
 
 
-def _extract_base(dists: List[Dist]) -> List[Dist]:
-    """Remove every distribution lying in the hull of the survivors.
+def _lex_above(q: Dist, r: Dist) -> bool:
+    """Is ``q`` heavier than ``r`` on the first atom, in sorted order, where
+    their weights differ?"""
+    for atom in sorted(q.nums.keys() | r.nums.keys()):
+        x, z = q.nums.get(atom, 0) * r.den, r.nums.get(atom, 0) * q.den
+        if x != z:
+            return x > z
+    return False
 
-    ``dists`` must be deduplicated. A single sweep suffices: extreme points
-    of the hull can never be removed, and any non-extreme point is a
-    combination of the extreme ones, which are all still present whenever
-    it is inspected. The result is the same for every sweep order.
+
+def _farthest(dists: List[Dist], pending: List[int], y: Dict[Atom, int]) -> int:
+    """The index in ``pending`` of the point q maximising ``y·q``, ties going
+    to the lexicographic maximum; that point is a vertex of the face of the
+    pending points' hull on which ``y`` is largest."""
+    best = None
+    for i in pending:
+        q = dists[i]
+        v = sum(k * q.nums.get(atom, 0) for atom, k in y.items())
+        if best is not None:
+            c = v * best_den - best_v * q.den
+            if c < 0 or (c == 0 and not _lex_above(q, dists[best])):
+                continue
+        best, best_v, best_den = i, v, q.den
+    return best
+
+
+def _extract_base(dists: List[Dist]) -> List[Dist]:
+    """The extreme points of ``dists``, in their given order.
+
+    ``dists`` must be deduplicated. This is Clarkson's output-sensitive
+    loop over a partial base E, which keeps an invariant: E holds only
+    extreme points, and every point dropped lies in the hull of E. So the
+    pending points and E always generate the whole hull.
+
+    E starts with the lexicographic maximum, which is extreme. Then the last
+    pending point p is tested against E alone: by the per-atom bounds, then
+    by the verified LP. Inside the hull of E, p is dropped. Outside, the
+    certificate y has ``y·p > y·e`` for every e in E, so over the whole hull
+    y is largest at pending points only. The pending point with the largest
+    ``y·q`` (ties to the lexicographic maximum) is a vertex of that face,
+    hence extreme; it joins E, and p is tested again. Each test drops a
+    point or grows E, so at most ``len(dists) - 1`` LPs run, each over |E|
+    columns.
     """
-    keep = list(dists)
-    i = 0
-    while i < len(keep):
-        rest = keep[:i] + keep[i + 1 :]
-        if rest and member_of_hull(keep[i], rest):
-            del keep[i]
-        else:
-            i += 1
-    return keep
+    if len(dists) <= 2:  # distinct points are the ends of their segment
+        return dists
+    pending = list(range(len(dists)))
+    extreme = [False] * len(dists)
+    base: List[Dist] = []
+    # The lexicographic maximum has the largest weight on the least atom.
+    y = {min(next(iter(d.nums)) for d in dists): 1}
+    while True:
+        i = _farthest(dists, pending, y)
+        pending.remove(i)
+        extreme[i] = True
+        base.append(dists[i])
+        while pending:
+            p = dists[pending[-1]]
+            y = _bound_separation(p, base) or separation(p, base)
+            if y is not None:
+                break
+            pending.pop()
+        if not pending:
+            return [d for d, keep in zip(dists, extreme) if keep]
 
 
 class ConvexSet:
@@ -143,6 +203,10 @@ class ConvexSet:
 
     def __repr__(self) -> str:
         return f"ConvexSet({list(self._base)!r})"
+
+    def __reduce__(self):
+        # The stored base is already canonical, so rebuilding skips extraction.
+        return ConvexSet._of_base, (self._base,)
 
 
 def unique_base(gens: Iterable[Dist]) -> ConvexSet:

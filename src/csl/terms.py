@@ -18,7 +18,6 @@ loops or one :func:`fold`, so nesting depth is bounded by memory alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -27,14 +26,19 @@ from .distributions import Dist, Rational, ONE, convex_combine, d_unit, exact
 from .errors import InvalidProbability, NotAWeightVector, ParseError
 
 
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+
 class _Node:
-    """Structural ``==``, ``hash``, ``repr`` and pickling for the term
-    classes, as loops: the methods a dataclass generates recurse, and so do
-    ``pickle`` and ``copy`` on nested objects, so a deep term would overflow
-    the stack. ``==``, ``hash`` and pickling visit a shared subterm once.
+    """Structural ``==``, ``hash``, ``repr`` and pickling for the immutable
+    term classes, as loops: recursive methods, like ``pickle`` and ``copy``
+    on nested objects, would overflow the stack on a deep term. ``==``,
+    ``hash`` and pickling visit a shared subterm once.
     """
 
     __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -62,7 +66,7 @@ class _Node:
                     lambda p, left, right: hash((p, left, right)))
 
     def __repr__(self):
-        # The dataclass format; a str on the stack is finished text.
+        # Constructor syntax with keywords; a str on the stack is finished text.
         out = []
         stack = [self]
         while stack:
@@ -99,28 +103,31 @@ def _from_rows(rows):
     return nodes[-1]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Leaf(_Node):
-    atom: str
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: str):
+        object.__setattr__(self, "atom", atom)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Or(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Term", right: "Term"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Mix(_Node):
-    p: Rational
-    left: "Term"
-    right: "Term"
+    __slots__ = ("p", "left", "right")
 
-    def __post_init__(self):
-        p = exact(self.p)
+    def __init__(self, p: Rational, left: "Term", right: "Term"):
+        p = exact(p)
         if not 0 < p < 1:
             raise InvalidProbability(f"mix probability must lie in (0,1), got {p}")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Term = Union[Leaf, Or, Mix]
@@ -168,18 +175,34 @@ def is_np_form(t: Term) -> bool:
     return all(is_pterm(s) for s in np_summands(t))
 
 
-@dataclass(frozen=True)
 class NPForm:
-    """A choice over purely probabilistic summands, canonically ordered."""
+    """A choice over purely probabilistic summands, canonically ordered: an
+    immutable value, equal to another when their summands are."""
 
-    summands: Tuple[Term, ...]
+    __slots__ = ("summands",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if not self.summands:
+    def __init__(self, summands: Tuple[Term, ...]):
+        if not summands:
             raise ValueError("an n-p form needs at least one summand")
-        for s in self.summands:
+        for s in summands:
             if not is_pterm(s):
                 raise ValueError(f"summand is not purely probabilistic: {s!r}")
+        object.__setattr__(self, "summands", summands)
+
+    def __eq__(self, other):
+        if other.__class__ is not NPForm:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self):
+        return hash(self.summands)
+
+    def __repr__(self):
+        return f"NPForm(summands={self.summands!r})"
+
+    def __reduce__(self):
+        return NPForm, (self.summands,)
 
     def __iter__(self):
         return iter(self.summands)

@@ -168,6 +168,20 @@ def test_internal_failure_exits_3_without_traceback(capsys, monkeypatch, exc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "answer",
+    [lambda rows, ncols: ((1, [1] + [0] * (ncols - 1)), None), lambda rows, ncols: (None, [1] * len(rows))],
+    ids=["coefficients that do not rebuild", "functional that does not separate"],
+)
+def test_a_failed_certificate_check_exits_3_without_traceback(capsys, monkeypatch, answer):
+    monkeypatch.setattr("csl._simplex_py.hull_witness", answer)
+    # the centre of x, y and z is tested by the LP against the three corners
+    code, out, err = run(capsys, "eq", "(or (or x y) (or z (mix 1/3 x (mix 1/2 y z))))", "(or x (or y z))")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ArithmeticError: LP ") and err.count("\n") == 1
+
+
 @given(st.sampled_from(["eq", "normalize", "canon", "eval"]), fuzzed_text(), fuzzed_text())
 def test_fuzzed_arguments_exit_with_a_documented_code(command, text1, text2):
     argv = [command, text1, text2] if command == "eq" else [command, text1]

@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -22,6 +25,7 @@ from csl import (
     set_to_obj,
     unique_base,
 )
+from csl.convexsets import _extract_base
 from csl.errors import DecodeError
 
 from genrandom import convex, dist, genset, nested, nested3, prob, weights
@@ -381,6 +385,124 @@ def test_base_extraction_over_set_atoms():
     outer = from_generators([d_unit(u), d_unit(v), mid])
     assert outer.base == (d_unit(u), d_unit(v)) or outer.base == (d_unit(v), d_unit(u))
     assert len(outer.base) == 2
+
+
+# --- extraction against its one-sweep reference --------------------------------
+
+
+def one_sweep_extract_base(dists):
+    """The extraction ``_extract_base`` replaced, kept as its reference: each
+    point is tested against all the others still kept and dropped when it
+    lies in their hull. One sweep suffices, since extreme points are never
+    dropped and every other point is a combination of them."""
+    keep = list(dists)
+    i = 0
+    while i < len(keep):
+        rest = keep[:i] + keep[i + 1 :]
+        if rest and member_of_hull(keep[i], rest):
+            del keep[i]
+        else:
+            i += 1
+    return keep
+
+
+def square_points():
+    """Corners, edge midpoints and centre of the square spanned by {a, b}
+    times {c, d}: with every functional that is constant along an edge,
+    several points share the largest value, the midpoint among them."""
+    corners = [D((u, HALF), (v, HALF)) for u in "ab" for v in "cd"]
+    # the pairwise midpoints: four edge midpoints, and the centre twice
+    return corners + [convex_combine([HALF, HALF], [p, q]) for i, p in enumerate(corners) for q in corners[i + 1 :]]
+
+
+def grid_points(atoms, den):
+    """Every distribution over ``atoms`` with weights in multiples of 1/den."""
+    return [
+        D(*((a, F(n, den)) for a, n in zip(atoms, ns) if n))
+        for ns in itertools.product(range(den + 1), repeat=len(atoms))
+        if sum(ns) == den
+    ]
+
+
+def extraction_instance(rng, kind):
+    if kind == "plain":
+        gens = genset(rng, max_gens=7)
+    elif kind == "dist atoms":  # distributions over distributions
+        gens = genset(rng, atoms=list(dict.fromkeys(dist(rng, atoms="xyz") for _ in range(4))), max_gens=7)
+    elif kind == "set atoms":  # distributions over convex sets, as c_mult builds them
+        gens = genset(rng, atoms=list(dict.fromkeys(convex(rng, atoms="xy", max_gens=3) for _ in range(4))), max_gens=7)
+    elif kind == "all extreme":  # each point puts over half its mass on its own atom
+        atoms = "uvwxyz"
+        gens = [
+            convex_combine([F(2, 3), F(1, 3)], [d_unit(a), dist(rng, atoms=atoms)])
+            for a in rng.sample(atoms, rng.randint(2, len(atoms)))
+        ]
+    elif kind == "one point":
+        gens = [dist(rng)] * rng.randint(1, 4)
+    elif kind == "square":
+        gens = rng.sample(square_points(), rng.randint(2, 9))
+    else:  # "grid": a triangular grid over three atoms
+        grid = grid_points("xyz", rng.randint(2, 4))
+        gens = rng.sample(grid, rng.randint(2, len(grid)))
+    if kind not in ("all extreme", "one point"):  # add points inside the hull
+        for _ in range(rng.randint(0, 3)):
+            chosen = rng.sample(gens, min(len(gens), 4))
+            gens.append(convex_combine(weights(rng, len(chosen)), chosen))
+    rng.shuffle(gens)
+    return gens
+
+
+EXTRACTION_KINDS = ("plain", "dist atoms", "set atoms", "all extreme", "one point", "square", "grid")
+
+
+def test_extraction_matches_the_one_sweep_reference(monkeypatch):
+    from csl import _simplex_py
+
+    columns = []
+    kernel = _simplex_py.hull_witness
+
+    def recording(rows, ncols):
+        columns.append(ncols)
+        return kernel(rows, ncols)
+
+    rng = Random(4242)
+    sizes = {kind: set() for kind in EXTRACTION_KINDS}
+    for trial in range(560):
+        kind = EXTRACTION_KINDS[trial % len(EXTRACTION_KINDS)]
+        dists = sorted(set(extraction_instance(rng, kind)))
+        want = one_sweep_extract_base(dists)
+        monkeypatch.setattr(_simplex_py, "hull_witness", recording)
+        columns.clear()
+        got = _extract_base(dists)
+        monkeypatch.undo()
+        assert got == want, kind
+        # at most one LP per point but the first, each over part of the base
+        assert len(columns) <= len(dists) - 1
+        assert all(ncols <= len(want) for ncols in columns)
+        sizes[kind].add((len(want) == len(dists), len(want) == 1))
+    assert sizes["all extreme"] == {(True, False)}
+    assert sizes["one point"] == {(True, True)}
+    for kind in ("plain", "dist atoms", "set atoms", "square", "grid"):
+        assert (False, False) in sizes[kind], kind  # some points are dropped
+
+
+# --- pickling and copying -----------------------------------------------------------
+
+
+def test_sets_pickle_and_copy_from_their_base(monkeypatch):
+    rng = Random(31)
+    sets = [convex(rng) for _ in range(3)] + [nested(rng) for _ in range(3)] + [nested3(rng)]
+
+    def extracting(dists):
+        raise AssertionError("a copy extracted its base again")
+
+    monkeypatch.setattr("csl.convexsets._extract_base", extracting)
+    for s in sets:
+        clones = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.copy(s), copy.deepcopy(s)]:
+            assert type(clone) is ConvexSet
+            assert clone == s and hash(clone) == hash(s)
+            assert clone.base == s.base
 
 
 # --- JSON ---------------------------------------------------------------------------

@@ -1,20 +1,23 @@
+import inspect
 from fractions import Fraction
 from math import lcm
 from random import Random
 
-from csl import _simplex_py, convex_combine, d_unit, member_of_hull
+import pytest
+
+from csl import Dist, _simplex_py, convex_combine, convexsets, d_unit, feasibility, member_of_hull
 from csl.distributions import ZERO
-from csl.feasibility import hull_coefficients, kernel_name
+from csl.feasibility import hull_coefficients, kernel_name, separation
 
 from fm_oracle import member_of_hull_fm
 from genrandom import convex, dist, genset, weights
 
 
-def random_system(rng, max_vars=6, max_rows=6, max_entry=9):
+def random_system(rng, max_vars=6, max_rows=6, max_entry=9, min_entry=0):
     n = rng.randint(1, max_vars)
     m = rng.randint(1, max_rows)
     rows = [
-        [rng.randint(0, max_entry) for _ in range(n)] + [rng.randint(0, max_entry)]
+        [rng.randint(min_entry, max_entry) for _ in range(n)] + [rng.randint(0, max_entry)]
         for _ in range(m)
     ]
     return rows, n
@@ -25,20 +28,30 @@ def test_kernel_reports_its_flavor():
 
 
 def test_witness_is_exact_solution():
+    """Every kernel answer is a certificate: an exact solution, or a Farkas
+    vector y with y A <= 0 < y b."""
     rng = Random(20240817)
-    feasible = 0
-    for _ in range(500):
-        rows, n = random_system(rng)
-        result = _simplex_py.hull_witness(rows, n)
-        if result is None:
-            continue
-        feasible += 1
-        den, values = result
-        assert den > 0
-        assert all(v >= 0 for v in values)
-        for row in rows:
-            assert sum(row[j] * values[j] for j in range(n)) == row[n] * den
-    assert feasible > 50  # the sweep must actually exercise feasible systems
+    feasible = infeasible = 0
+    for trial in range(500):
+        # odd trials let A have negative entries; b stays nonnegative
+        rows, n = random_system(rng, min_entry=-9 * (trial % 2))
+        x, y = _simplex_py.hull_witness(rows, n)
+        assert (x is None) != (y is None)
+        if x is not None:
+            feasible += 1
+            den, values = x
+            assert den > 0
+            assert all(v >= 0 for v in values)
+            for row in rows:
+                assert sum(row[j] * values[j] for j in range(n)) == row[n] * den
+        else:
+            infeasible += 1
+            assert len(y) == len(rows)
+            assert sum(k * row[n] for k, row in zip(y, rows)) > 0
+            for j in range(n):
+                assert sum(k * row[j] for k, row in zip(y, rows)) <= 0
+    # the sweep must actually exercise both answers
+    assert feasible > 50 and infeasible > 50
 
 
 def test_coefficients_reconstruct_target():
@@ -93,10 +106,12 @@ def row_scaled_hull_coefficients(d, gens):
         scale = lcm(*(w.denominator for w in ws))
         rows.append([w.numerator * (scale // w.denominator) for w in ws])
     rows.append([1] * len(points))
-    result = _simplex_py.hull_witness(rows, len(gens))
-    if result is None:
+    x, y = _simplex_py.hull_witness(rows, len(gens))
+    if x is None:
+        assert sum(k * row[-1] for k, row in zip(y, rows)) > 0
+        assert all(sum(k * row[j] for k, row in zip(y, rows)) <= 0 for j in range(len(gens)))
         return None
-    den, values = result
+    den, values = x
     return [Fraction(v, den) for v in values]
 
 
@@ -183,3 +198,45 @@ def test_dirac_outside_and_missing_atom_targets_reach_no_lp(monkeypatch):
         answers.add(member_of_hull(target, gens))
     assert calls == []
     assert answers == {True, False}
+
+
+# --- every answer is verified -----------------------------------------------------
+
+
+def wrong_coefficients(rows, ncols):
+    """All the weight on the first generator, whatever the target."""
+    return (1, [1] + [0] * (ncols - 1)), None
+
+
+def wrong_functional(rows, ncols):
+    """All ones: every generator and the target score their denominators."""
+    return None, [1] * len(rows)
+
+
+@pytest.mark.parametrize("kernel", [wrong_coefficients, wrong_functional])
+def test_an_answer_that_fails_its_check_raises(monkeypatch, kernel):
+    monkeypatch.setattr(_simplex_py, "hull_witness", kernel)
+    mid = convex_combine([Fraction(1, 2)] * 2, [d_unit("x"), d_unit("y")])
+    for solve in (hull_coefficients, separation):
+        with pytest.raises(ArithmeticError):
+            solve(mid, [d_unit("x"), d_unit("y")])
+    with pytest.raises(ArithmeticError):
+        member_of_hull(mid, [d_unit("x"), d_unit("y")])
+
+
+# --- what perfbench's tracer wraps and calls -----------------------------------------
+
+
+def test_the_benchmark_tracer_finds_what_it_reads():
+    # perfbench/spans.py counts kernel calls by unpacking (rows, ncols) from
+    # the positional arguments of csl.feasibility._kernel.hull_witness.
+    kernel = feasibility._kernel.hull_witness
+    assert list(inspect.signature(kernel).parameters) == ["rows", "ncols"]
+    # It counts LPs, and workloads.prover proposes coefficients, through
+    # csl.convexsets.hull_coefficients: a list of coefficients or None.
+    x, y = d_unit("x"), d_unit("y")
+    mid = convex_combine([Fraction(1, 2)] * 2, [x, y])
+    assert convexsets.hull_coefficients(mid, [x, y]) == [Fraction(1, 2)] * 2
+    assert convexsets.hull_coefficients(d_unit("z"), [x, y]) is None
+    # It wraps Dist.weight to count weight reads.
+    assert Dist.weight(mid, "x") == Fraction(1, 2)

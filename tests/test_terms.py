@@ -520,6 +520,21 @@ def test_deep_terms_compare_hash_and_print():
     assert repr(a) == "Mix(p=Fraction(1, 2), left=" * DEPTH + "Leaf(atom='a')" + ", right=Leaf(atom='b'))" * DEPTH
 
 
+def test_terms_and_np_forms_are_immutable():
+    mix = Mix(HALF, Leaf("x"), Or(Leaf("y"), Leaf("z")))
+    np = rewrite_np(mix)
+    for value, name in ((mix.right.left, "atom"), (mix.right, "left"), (mix, "p"), (np, "summands")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = None
+    assert np == rewrite_np(mix) and hash(np) == hash(rewrite_np(mix))
+    assert pickle.loads(pickle.dumps(np, 0)) == np and copy.deepcopy(np) == np
+    assert repr(np) == f"NPForm(summands={np.summands!r})"
+
+
 def test_deep_summand_in_a_rejected_np_form():
     with pytest.raises(ValueError, match="not purely probabilistic"):
         NPForm((parse_term(deep_chain("(or a c)")),))
