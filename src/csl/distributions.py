@@ -170,6 +170,23 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
     return Dist.__new__(Dist)._store(den, acc)
 
 
+def mix2(p: Fraction, a: Dist, b: Dist) -> Dist:
+    """``p*a + (1-p)*b`` for a Fraction ``p`` already known to lie in (0, 1).
+
+    The same distribution as ``convex_combine([p, 1 - p], [a, b])``, built
+    in one integer step: over ``L = lcm(a.den, b.den)``, ``a``'s integers
+    are scaled by ``p``'s numerator and ``b``'s by ``1 - p``'s, all over
+    ``p.denominator * L``.
+    """
+    den = lcm(a.den, b.den)
+    ka = p.numerator * (den // a.den)
+    kb = (p.denominator - p.numerator) * (den // b.den)
+    acc = {atom: ka * n for atom, n in a.nums.items()}
+    for atom, n in b.nums.items():
+        acc[atom] = acc.get(atom, 0) + kb * n
+    return Dist.__new__(Dist)._store(p.denominator * den, acc)
+
+
 def d_map(f: Callable[[Atom], Atom], d: Dist) -> Dist:
     """Push a distribution forward along a function on atoms.
 

@@ -5,7 +5,11 @@ rational p strictly between 0 and 1, a probabilistic mix ``Mix(p, -, -)``.
 Terms are interpreted as convex sets of distributions (:func:`iota`); going
 the other way, :func:`kappa` rebuilds a canonical term from a convex set's
 base, and :func:`canon` composes the two into a normal form that decides
-semantic equality.
+semantic equality. Evaluation (:func:`evaluate`) carries plain generator
+lists up the term and extracts a base only before a mix whose sides both
+hold two or more points, at a shared subterm and at the root: any
+generating set of a convex set has the same unique base, so the answer is
+that of extracting at every node.
 
 Normalization (:func:`rewrite_np`) distributes every mix over the choices
 beneath it, producing the n-p form: a choice among purely probabilistic
@@ -21,8 +25,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .convexsets import ConvexSet, c_unit, convex_union, minkowski
-from .distributions import Dist, Rational, ONE, convex_combine, d_unit, exact
+from .convexsets import ConvexSet, Hull, c_unit, hull_mix, hull_union
+from .distributions import Dist, Rational, ONE, d_unit, exact, mix2
 from .errors import InvalidProbability, NotAWeightVector, ParseError
 
 
@@ -133,28 +137,51 @@ class Mix(_Node):
 Term = Union[Leaf, Or, Mix]
 
 
-def fold(t: Term, leaf: Callable, or_: Callable, mix: Callable):
+def fold(t: Term, leaf: Callable, or_: Callable, mix: Callable,
+         shared: Optional[Callable] = None):
     """The homomorphism out of the term algebra: ``leaf(node)`` at leaves,
     ``or_(left, right)`` at choices and ``mix(p, left, right)`` at mixes.
 
     A post-order walk with an explicit stack. Results are memoised by node
-    identity, so a subterm object that occurs twice is folded once.
+    identity, so a subterm object that occurs twice is folded once; when
+    ``shared`` is given, such a result is replaced by ``shared(result)``
+    before any parent reads it. A first walk counts the reads of each
+    node's result, one per parent, so a result is dropped once its last
+    parent has read it and only the results still awaited are held.
     """
+    uses = {id(t): 1}  # node -> reads of its result still to come (the root's: 1)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is not Leaf:
+            for child in (node.left, node.right):
+                k = id(child)
+                if k in uses:
+                    uses[k] += 1
+                else:
+                    uses[k] = 1
+                    stack.append(child)
     done = {}
     stack = [t]
     while stack:
         node = stack.pop()
         if type(node) is tuple:  # (node,): its children are done
             (node,) = node
-            if type(node) is Or:
-                done[id(node)] = or_(done[id(node.left)], done[id(node.right)])
-            else:
-                done[id(node)] = mix(node.p, done[id(node.left)], done[id(node.right)])
-        elif id(node) not in done:
-            if type(node) is Leaf:
-                done[id(node)] = leaf(node)
-            else:
-                stack += ((node,), node.right, node.left)
+            k = id(node.left)
+            uses[k] -= 1
+            left = done[k] if uses[k] else done.pop(k)
+            k = id(node.right)
+            uses[k] -= 1
+            right = done[k] if uses[k] else done.pop(k)
+            value = or_(left, right) if type(node) is Or else mix(node.p, left, right)
+        elif id(node) in done:
+            continue
+        elif type(node) is Leaf:
+            value = leaf(node)
+        else:
+            stack += ((node,), node.right, node.left)
+            continue
+        done[id(node)] = shared(value) if shared is not None and uses[id(node)] > 1 else value
     return done[id(t)]
 
 
@@ -292,13 +319,11 @@ def rewrite_np(t: Term) -> NPForm:
         lambda n: [(n, d_unit(n.atom))],
         lambda left, right: left + right,  # a new list: a memoised child may be shared
         lambda p, left, right: [
-            (Mix(p, a, b), convex_combine([p, ONE - p], [da, db]))
-            for a, da in left
-            for b, db in right
+            (Mix(p, a, b), mix2(p, da, db)) for a, da in left for b, db in right
         ],
     )
     summands.sort(key=lambda sd: sd[1])
-    return NPForm(tuple(s for s, _ in summands))
+    return NPForm(tuple([s for s, _ in summands]))  # from a list: see convexsets.Hull
 
 
 # --- interpretation ---------------------------------------------------------
@@ -306,8 +331,7 @@ def rewrite_np(t: Term) -> NPForm:
 
 def iota_p(t: Term) -> Dist:
     """Evaluate a purely probabilistic term to its distribution."""
-    return fold(t, lambda n: d_unit(n.atom), _no_choice,
-                lambda p, left, right: convex_combine([p, ONE - p], [left, right]))
+    return fold(t, lambda n: d_unit(n.atom), _no_choice, mix2)
 
 
 def _no_choice(left, right):
@@ -315,8 +339,22 @@ def _no_choice(left, right):
 
 
 def evaluate(t: Term, valuation: Callable[[str], ConvexSet]) -> ConvexSet:
-    """Evaluate a term at the given atom values, each shared subterm once."""
-    return fold(t, lambda n: valuation(n.atom), convex_union, minkowski)
+    """Evaluate a term at the given atom values, each shared subterm once.
+
+    Every node carries a list of generators of its set, and a base is
+    extracted only where skipping it would multiply generators: on both
+    sides of a mix whose sides both hold two or more points, at a subterm
+    that more than one parent reads, and once at the root. A leaf holds its
+    value's base; a choice, the deduplicated concatenation of its sides; a
+    mix, the pairwise mixes (:func:`mix2`). The answer is the same as
+    extracting at every node, because every generating set of a convex set
+    has the same unique base. No node holds more than the product of two
+    bases plus the generators its choices gather above that, and a value
+    known to be a base (a leaf's, or a base mixed with one point) is never
+    extracted again.
+    """
+    hull = fold(t, lambda n: Hull.of(valuation(n.atom)), hull_union, hull_mix, Hull.extracted)
+    return hull.convex_set()
 
 
 def iota(t: Term) -> ConvexSet:

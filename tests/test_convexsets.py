@@ -5,6 +5,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csl import (
     ConvexSet,
@@ -199,6 +201,15 @@ def test_minkowski_with_a_one_point_side_equals_extraction_over_all_pairs():
             assert hash(got) == hash(want)
         wide += len(s) > 1
     assert wide > 20
+
+
+@given(st.integers(0, 2**32), st.sampled_from([convex, nested]))
+def test_minkowski_is_the_hull_of_the_pairwise_combinations(seed, make):
+    rng = Random(seed)
+    s1, s2, p = make(rng), make(rng), prob(rng)
+    got = minkowski(p, s1, s2)
+    want = ConvexSet(convex_combine([p, 1 - p], [b1, b2]) for b1 in s1.base for b2 in s2.base)
+    assert got.base == want.base and hash(got) == hash(want)
 
 
 def test_minkowski_rejects_degenerate_probability():

@@ -21,7 +21,7 @@ from csl import (
     dist_make,
     dist_to_obj,
 )
-from csl.distributions import parse_weight
+from csl.distributions import mix2, parse_weight
 from csl.errors import DecodeError
 
 F = Fraction
@@ -142,6 +142,39 @@ def test_combine_permutation_invariant(data):
     direct = convex_combine(ws, ds)
     shuffled = convex_combine([ws[i] for i in order], [ds[i] for i in order])
     assert direct == shuffled
+
+
+# Atoms of three kinds: names, distributions and convex sets, as nested values use.
+ATOM_KINDS = (
+    ("w", "x", "y", "z"),
+    (d_unit("x"), dist_make([("x", F(1, 3)), ("y", F(2, 3))]), d_unit("y"), dist_make([("y", HALF), ("z", HALF)])),
+    (ConvexSet([d_unit("x")]), ConvexSet([d_unit("x"), d_unit("y")]), ConvexSet([d_unit("z")])),
+)
+HUGE = 10**12
+
+
+@given(st.data())
+def test_mix2_is_the_binary_convex_combination(data):
+    atoms = data.draw(st.sampled_from(ATOM_KINDS))
+    mass = st.one_of(st.integers(1, 9), st.integers(HUGE // 2, 2 * HUGE))
+    a = data.draw(dists(atoms, mass))
+    b = a if data.draw(st.booleans()) else data.draw(dists(atoms, mass))
+    den = data.draw(st.one_of(st.integers(2, 12), st.integers(HUGE, 3 * HUGE)))
+    p = F(data.draw(st.integers(1, den - 1)), den)
+    got, want = mix2(p, a, b), convex_combine([p, 1 - p], [a, b])
+    assert (got.den, list(got.nums.items()), hash(got)) == (want.den, list(want.nums.items()), hash(want))
+
+
+@pytest.mark.parametrize("p, a, b", [
+    (F(2, 7), dist_make([("x", F(1, 3)), ("y", F(2, 3))]), dist_make([("y", F(1, 5)), ("z", F(4, 5))])),
+    (F(1, HUGE + 1), dist_make([("x", F(HUGE, HUGE + 3)), ("y", F(3, HUGE + 3))]), d_unit("y")),
+    (F(5, 11), dist_make([("x", F(1, 3)), ("y", F(2, 3))]), dist_make([("x", F(1, 3)), ("y", F(2, 3))])),
+], ids=["coprime denominators", "huge masses", "a equals b"])
+def test_mix2_examples(p, a, b):
+    got, want = mix2(p, a, b), convex_combine([p, 1 - p], [a, b])
+    assert (got.den, list(got.nums.items()), hash(got)) == (want.den, list(want.nums.items()), hash(want))
+    if a == b:
+        assert got == a
 
 
 # --- map ----------------------------------------------------------------------

@@ -1,0 +1,153 @@
+"""``evaluate`` against the eager reference that extracts a base at every node.
+
+``evaluate`` carries raw generator lists and extracts only before a mix
+whose sides both hold two or more points, and at the root. The reference
+below is the fold it replaced: ``convex_union`` at every choice and
+``minkowski`` at every mix. Both must give the same base, and the lazy one
+must not solve more LPs.
+"""
+
+import sys
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import csl.feasibility
+from csl import (
+    ConvexSet,
+    Leaf,
+    Mix,
+    Or,
+    c_unit,
+    convex_union,
+    evaluate,
+    iota,
+    minkowski,
+    parse_term,
+)
+from csl.terms import fold
+from genrandom import convex, nested, prob, term
+
+ATOMS = ("w", "x", "y", "z")
+THIRD = Fraction(1, 3)
+
+
+def eager_evaluate(t, valuation):
+    """The reference: a base at every node."""
+    return fold(t, lambda n: valuation(n.atom), convex_union, minkowski)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A one-element list counting calls of the simplex kernel."""
+    calls = [0]
+    original = csl.feasibility._kernel.hull_witness
+
+    def counted(rows, ncols):
+        calls[0] += 1
+        return original(rows, ncols)
+
+    monkeypatch.setattr(csl.feasibility._kernel, "hull_witness", counted)
+    return calls
+
+
+def shared_tower(levels):
+    """Each level uses the level below twice, as one object."""
+    t = Or(Leaf("x"), Mix(THIRD, Leaf("y"), Leaf("z")))
+    for k in range(levels):
+        t = Mix(THIRD, t, t) if k % 2 else Or(t, Mix(Fraction(1, 4), t, Leaf("w")))
+    return t
+
+
+def shared_dag(rng, size):
+    """A term whose nodes reuse earlier nodes as children, several times each."""
+    pool = [Leaf(a) for a in ATOMS]
+    for _ in range(size):
+        left, right = rng.choice(pool), rng.choice(pool)
+        pool.append(Or(left, right) if rng.randint(0, 1) else Mix(prob(rng), left, right))
+    return pool[-1]
+
+
+def compare(cases, kernel_calls):
+    """Evaluate every (term, valuation) both ways; return the two kernel-call totals."""
+    lazy = eager = 0
+    for t, valuation in cases:
+        kernel_calls[0] = 0
+        got = evaluate(t, valuation)
+        lazy += kernel_calls[0]
+        kernel_calls[0] = 0
+        want = eager_evaluate(t, valuation)
+        eager += kernel_calls[0]
+        assert got.base == want.base
+        assert hash(got) == hash(want)
+    return lazy, eager
+
+
+def test_random_terms_match_the_eager_fold(kernel_calls):
+    rng = Random(9001)
+    cases = [(term(rng, rng.randint(1, 6), ATOMS), c_unit) for _ in range(400)]
+    lazy, eager = compare(cases, kernel_calls)
+    assert eager > 0 and lazy <= eager
+
+
+def test_shared_subterms_match_the_eager_fold(kernel_calls):
+    rng = Random(9002)
+    cases = [(shared_tower(levels), c_unit) for levels in range(12)]
+    cases += [(shared_dag(rng, rng.randint(1, 10)), c_unit) for _ in range(100)]
+    lazy, eager = compare(cases, kernel_calls)
+    assert eager > 0 and lazy <= eager
+
+
+@pytest.mark.parametrize("make", [convex, nested], ids=["sets", "nested sets"])
+def test_set_valuations_match_the_eager_fold(kernel_calls, make):
+    rng = Random(9003)
+    cases = []
+    for _ in range(60):
+        env = {a: make(rng) for a in ATOMS}
+        cases.append((term(rng, rng.randint(1, 4), ATOMS), env.__getitem__))
+    lazy, eager = compare(cases, kernel_calls)
+    assert eager > 0 and lazy <= eager
+
+
+def test_a_leaf_and_a_base_mixed_with_a_point_solve_no_lp(kernel_calls):
+    rng = Random(9004)
+    for _ in range(20):
+        wide = convex(rng, max_gens=6)
+        env = {"s": wide, "n": nested(rng), "a": ConvexSet([rng.choice(convex(rng).base)])}
+        kernel_calls[0] = 0
+        assert evaluate(Leaf("s"), env.__getitem__) == wide
+        assert evaluate(Leaf("n"), env.__getitem__) == env["n"]
+        p = prob(rng)
+        for t, s1, s2 in ((Mix(p, Leaf("s"), Leaf("a")), wide, env["a"]),
+                          (Mix(p, Leaf("a"), Mix(p, Leaf("a"), Leaf("s"))), env["a"], minkowski(p, env["a"], wide))):
+            got = evaluate(t, env.__getitem__)
+            assert kernel_calls[0] == 0
+            assert got == minkowski(p, s1, s2)
+
+
+def or_chain(atoms, depth):
+    """(or (or ... (or a0 a1) ...) a_depth): one Or per level, the atoms cycled."""
+    text = "(or " * depth + atoms[0] + "".join(f" {atoms[(k + 1) % len(atoms)]})" for k in range(depth))
+    return parse_term(text)
+
+
+@pytest.mark.parametrize("atoms, want", [("a", c_unit("a")), ("ab", iota(parse_term("(or a b)")))],
+                         ids=["one atom", "two atoms"])
+def test_deep_or_chains_hold_at_most_two_points(monkeypatch, atoms, want):
+    # Or deduplicates, so no node of the chain holds more than its distinct atoms.
+    sizes = []
+
+    def watched(t, leaf, or_, mix, shared):
+        def or_sized(left, right):
+            value = or_(left, right)
+            sizes.append(len(value.points))
+            return value
+
+        return fold(t, leaf, or_sized, mix, shared)
+
+    monkeypatch.setattr("csl.terms.fold", watched)
+    got = iota(or_chain(atoms, 3 * sys.getrecursionlimit()))
+    monkeypatch.undo()
+    assert got == want
+    assert len(sizes) == 3 * sys.getrecursionlimit() and max(sizes) == len(atoms)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -550,6 +551,20 @@ def test_deep_iota_p_and_canon():
     w = F(1, 2**DEPTH)
     assert iota_p(t) == dist_make([("a", w), ("b", 1 - w)])
     assert print_term(canon(t)) == f"(mix {w.numerator}/{w.denominator} a b)"
+
+
+@pytest.mark.parametrize("walk", [rewrite_np, iota], ids=["rewrite_np", "iota"])
+def test_deep_folds_hold_only_the_results_still_awaited(walk):
+    # Each level's distribution is about DEPTH bits wide; keeping every
+    # level's result until the walk ends took several MB.
+    t = parse_term(deep_chain("(or a c)"))
+    tracemalloc.start()
+    try:
+        walk(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_deep_substitute():
