@@ -72,19 +72,7 @@ def hull_witness(rows, ncols):
             # The phase-one objective is bounded, so a favorable column
             # always admits a pivot; reaching this means broken input.
             raise ArithmeticError("unbounded phase-one column")
-        piv = tab[row][col]
-        prow = tab[row]
-        for trow in tab:
-            if trow is prow:
-                continue
-            f = trow[col]
-            if f:
-                for j in range(n + 1):
-                    trow[j] = (piv * trow[j] - f * prow[j]) // den
-            else:  # the row only moves to the new denominator
-                for j in range(n + 1):
-                    trow[j] = piv * trow[j] // den
-        den = piv
+        den = _pivot(tab, tab[row], col, den, 0)
         basis[row] = col
 
     if tab[m][n] != 0:
@@ -96,6 +84,25 @@ def hull_witness(rows, ncols):
     return (den, values), None
 
 
+def _pivot(tab, prow, col, den, start):
+    """Pivot on ``prow[col]``: apply the fraction-free update to every other
+    row of ``tab`` from column ``start`` on, and return the new denominator.
+    """
+    piv = prow[col]
+    width = range(start, len(prow))
+    for trow in tab:
+        if trow is prow:
+            continue
+        f = trow[col]
+        if f:
+            for j in width:
+                trow[j] = (piv * trow[j] - f * prow[j]) // den
+        else:  # the row only moves to the new denominator
+            for j in width:
+                trow[j] = piv * trow[j] // den
+    return piv
+
+
 def _farkas(columns, n, basis):
     """The integer dual ``y`` of the final phase-one basis, up to a positive
     factor: ``y B = c_B``, given the columns of ``[A | b]``.
@@ -103,8 +110,8 @@ def _farkas(columns, n, basis):
     A basic artificial k fixes ``y[k] = 1``. The other entries solve one
     equation per basic column j of A, ``sum_k A[k][j] y[k] = 0``; there are
     as many of those columns as unknowns, and B is invertible, so the
-    square system is solved by fraction-free Gauss-Jordan elimination (the
-    pivot update above, with rows swapped so that column c pivots in row c)
+    square system is solved by fraction-free Gauss-Jordan elimination
+    (:func:`_pivot`, with rows swapped so that column c pivots in row c)
     and every entry is scaled by its final denominator.
     """
     m = len(columns[0])
@@ -125,15 +132,8 @@ def _farkas(columns, n, basis):
         while not system[r][c]:
             r += 1
         system[c], system[r] = system[r], system[c]
-        prow = system[c]
-        piv = prow[c]
-        for trow in system:
-            if trow is not prow:
-                f = trow[c]
-                # Columns before c are settled and never read again.
-                for j in range(c + 1, s + 1):
-                    trow[j] = (piv * trow[j] - f * prow[j]) // den
-        den = piv
+        # Columns up to c are settled and never read again.
+        den = _pivot(system, system[c], c, den, c + 1)
     sign = 1 if den > 0 else -1
     y = [sign * den] * m
     for k, row in zip(free, system):

@@ -187,8 +187,8 @@ class ConvexSet:
     def __len__(self) -> int:
         return len(self._base)
 
-    def __contains__(self, d: Dist) -> bool:
-        return member_of_hull(d, self._base)
+    def __contains__(self, d) -> bool:
+        return isinstance(d, Dist) and member_of_hull(d, self._base)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):

@@ -17,6 +17,9 @@ terms, ordered by their distributions. It builds the summands bottom-up in
 one pass; :func:`rewrite_step`, one innermost-leftmost distribution step,
 stays as its specification. It is the only recursive walk: the others are
 loops or one :func:`fold`, so nesting depth is bounded by memory alone.
+Syntactic identity serves users and tests, not decisions: one table that
+numbers subterms by content carries ``==``, ``hash`` and pickling, and one
+loop emits both ``repr`` and the text form.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ def _immutable(self, *args):
 
 class _Node:
     """Structural ``==``, ``hash``, ``repr`` and pickling for the immutable
-    term classes, as loops: recursive methods, like ``pickle`` and ``copy``
-    on nested objects, would overflow the stack on a deep term. ``==``,
-    ``hash`` and pickling visit a shared subterm once.
+    term classes, without recursion: recursive methods, like ``pickle`` and
+    ``copy`` on nested objects, would overflow the stack on a deep term.
+    One content-numbered table (:func:`_rows`) carries ``==``, ``hash`` and
+    pickling, and one loop (:func:`_emit`) writes both ``repr`` and
+    :func:`print_term`.
     """
 
     __slots__ = ()
@@ -47,58 +52,35 @@ class _Node:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        seen = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if type(a) is not type(b):
-                return False
-            if type(a) is Leaf:
-                if a.atom != b.atom:
-                    return False
-            elif type(a) is Mix and a.p != b.p:
-                return False
-            else:
-                stack += ((a.right, b.right), (a.left, b.left))
-        return True
+        return self is other or _rows(self) == _rows(other)
 
     def __hash__(self):
-        return fold(self, lambda n: hash(n.atom), lambda left, right: hash((left, right)),
-                    lambda p, left, right: hash((p, left, right)))
+        return hash(_rows(self))
 
     def __repr__(self):
-        # Constructor syntax with keywords; a str on the stack is finished text.
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if type(node) is str:
-                out.append(node)
-            elif type(node) is Leaf:
-                out.append(f"Leaf(atom={node.atom!r})")
-            else:
-                out.append("Or(left=" if type(node) is Or else f"Mix(p={node.p!r}, left=")
-                stack += (")", node.right, ", right=", node.left)
-        return "".join(out)
+        return _emit(self, "Leaf(atom={!r})".format, "Or(left=", "Mix(p={!r}, left=".format, ", right=")
 
     def __reduce__(self):
-        # One flat row per distinct node, in post-order: (Leaf, atom),
-        # (Or, left, right) or (Mix, p, left, right), children by row number.
-        rows = []
+        return _from_rows, (_rows(self),)
 
-        def row(*fields):
-            rows.append(fields)
-            return len(rows) - 1
 
-        fold(self, lambda n: row(Leaf, n.atom), lambda *c: row(Or, *c), lambda *c: row(Mix, *c))
-        return _from_rows, (tuple(rows),)
+def _rows(t):
+    """Number each distinct subterm of ``t`` by content, in post-order: one
+    row ``(Leaf, atom)``, ``(Or, left, right)`` or ``(Mix, p, left, right)``
+    each, children by row number, the root last. Structurally equal terms
+    give equal tables, whatever subterm objects they share.
+    """
+    number = {}
+
+    def row(*fields):
+        return number.setdefault(fields, len(number))
+
+    fold(t, lambda n: row(Leaf, n.atom), lambda *c: row(Or, *c), lambda *c: row(Mix, *c))
+    return tuple(number)
 
 
 def _from_rows(rows):
-    """Rebuild a term from the rows of :meth:`_Node.__reduce__`."""
+    """Rebuild a term from a table of :func:`_rows`."""
     nodes = []
     for cls, *fields in rows:
         if cls is not Leaf:
@@ -519,8 +501,9 @@ def parse_term(text: str) -> Term:
         frames[-1][1].append(t)
 
 
-def print_term(t: Term) -> str:
-    """Emit a term in the grammar; inverse of :func:`parse_term`.
+def _emit(t: Term, leaf: Callable, or_: str, mix: Callable, sep: str) -> str:
+    """Write a term as text: ``leaf(atom)`` at a leaf, ``or_`` or ``mix(p)``
+    opening a node, ``sep`` between its operands and ``)`` closing it.
 
     A stack loop, not a :func:`fold`: memoised texts take memory quadratic
     in the depth, and text has no sharing to gain from.
@@ -529,11 +512,16 @@ def print_term(t: Term) -> str:
     stack = [t]
     while stack:
         node = stack.pop()
-        if type(node) is str:
+        if type(node) is str:  # a str on the stack is finished text
             out.append(node)
         elif type(node) is Leaf:
-            out.append(node.atom)
+            out.append(leaf(node.atom))
         else:
-            out.append("(or " if type(node) is Or else f"(mix {node.p.numerator}/{node.p.denominator} ")
-            stack += (")", node.right, " ", node.left)
+            out.append(or_ if type(node) is Or else mix(node.p))
+            stack += (")", node.right, sep, node.left)
     return "".join(out)
+
+
+def print_term(t: Term) -> str:
+    """Emit a term in the grammar; inverse of :func:`parse_term`."""
+    return _emit(t, str, "(or ", lambda p: f"(mix {p.numerator}/{p.denominator} ", " ")

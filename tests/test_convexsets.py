@@ -66,6 +66,13 @@ def test_member_missing_atom_weight():
     assert not member_of_hull(XY, [XZ, DZ])
 
 
+@pytest.mark.parametrize("item", ["x", 3, None, ("x", HALF), HALF, c_unit("x")])
+def test_a_set_contains_no_value_that_is_not_a_distribution(item):
+    s = from_generators([DX, DY])
+    assert item not in s
+    assert XY in s and DZ not in s
+
+
 def test_hull_coefficients_reconstruct_member():
     from csl.convexsets import hull_coefficients
 

@@ -212,6 +212,40 @@ def test_terms_differ_from_other_types():
     assert len({X, Leaf("x"), Or(X, Y), Or(Leaf("x"), Leaf("y"))}) == 2
 
 
+def fresh_subterm():
+    return Mix(THIRD, Leaf("x"), Or(Leaf("y"), Leaf("z")))
+
+
+@pytest.mark.parametrize("make", [Or, lambda left, right: Mix(HALF, left, right)], ids=["or", "mix"])
+@pytest.mark.parametrize("copier", [lambda t: t, lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                         ids=["itself", "pickle", "deepcopy"])
+def test_one_subterm_used_twice_equals_two_equal_copies(make, copier):
+    s = fresh_subterm()
+    shared, copies = make(s, s), make(fresh_subterm(), fresh_subterm())
+    assert shared.left is shared.right and copies.left is not copies.right
+    for t, u in ((copier(shared), copies), (copier(copies), shared)):
+        assert t == u and u == t and not t != u
+        assert hash(t) == hash(u)
+        assert print_term(t) == print_term(u) and repr(t) == repr(u)
+
+
+S = fresh_subterm()
+
+
+@pytest.mark.parametrize("t, u", [
+    (Mix(HALF, X, Or(Y, Z)), Mix(THIRD, X, Or(Y, Z))),
+    (Or(X, Mix(HALF, Y, Z)), Or(X, Mix(HALF, Y, Leaf("w")))),
+    (Or(Y, Mix(THIRD, X, Z)), Mix(HALF, Y, Mix(THIRD, X, Z))),
+    (Or(X, Mix(HALF, Y, Z)), Or(Mix(HALF, Y, Z), X)),
+    (Mix(HALF, X, Y), Mix(HALF, Y, X)),
+    (Or(S, S), Or(S, Mix(THIRD, X, Or(Z, Y)))),
+], ids=["probability", "atom", "or-against-mix", "swapped-or", "swapped-mix", "swap-beside-a-shared-subterm"])
+def test_terms_that_differ_in_one_place_are_unequal(t, u):
+    for a, b in ((t, u), (u, t)):
+        assert a != b and not a == b
+        assert copy.deepcopy(a) != b and pickle.loads(pickle.dumps(a)) != b
+
+
 # --- n-p form predicate -------------------------------------------------------------
 
 
