@@ -25,7 +25,22 @@ of the basic variables (1 for an artificial, 0 for a column of A), the
 vector y solving ``y B = c_B`` has ``y A <= 0`` (the reduced costs are
 optimal) and ``y b`` equal to the remaining artificial mass, which is
 positive.
+
+:class:`Echelon` answers the same question without a simplex when the
+columns of A are linearly independent. It keeps the Gauss-Jordan form of
+``[A | I]`` under the same pivot update, so that its right block M has
+``M A = den * U``, U holding one unit column per column of A (its pivot
+row), and every entry of M is a minor of ``[A | I]``. A new column c
+enters as ``M c`` in one pivot. A target b is read off ``v = M b``:
+``v`` nonzero on a row that is no pivot row puts b outside the span of A,
+and that row of M, signed like its entry, is a Farkas vector (it is 0 on
+every column of A); otherwise ``b = A x`` with ``x[j] = v[r_j] / den`` at
+the pivot row r_j of column j, and a negative ``x[j]`` makes minus row
+r_j of M, signed like ``den``, a Farkas vector (``-|den|`` on column j, 0
+on the others, positive on b).
 """
+
+from operator import mul
 
 
 def hull_witness(rows, ncols):
@@ -139,3 +154,59 @@ def _farkas(columns, n, basis):
     for k, row in zip(free, system):
         y[k] = sign * row[s]
     return y
+
+
+class Echelon:
+    """The fraction-free Gauss-Jordan form ``M E = den * U`` of linearly
+    independent integer columns E, each of length ``m``, grown one column
+    at a time; ``answer`` gives :func:`hull_witness`'s answer for E.
+
+    Each row of ``rows`` is a row of M plus one last scratch slot, where a
+    new column's entries sit while it is pivoted in.
+    """
+
+    __slots__ = ("rows", "den", "pivots", "free")
+
+    def __init__(self, m):
+        self.rows = [[0] * (m + 1) for _ in range(m)]
+        for i, row in enumerate(self.rows):
+            row[i] = 1
+        self.den = 1
+        self.pivots = []  # the pivot row of each column of E, in order
+        self.free = list(range(m))  # the rows that are no pivot row
+
+    def image(self, c):
+        """``M c``, one integer per row."""
+        return [sum(map(mul, row, c)) for row in self.rows]
+
+    def extend(self, v):
+        """Add the column whose image is ``v`` to E, by one pivot on its
+        first nonzero entry in a free row. Returns False, and changes
+        nothing, when there is none: the column lies in the span of E."""
+        for r in self.free:
+            if v[r]:
+                break
+        else:
+            return False
+        self.free.remove(r)
+        self.pivots.append(r)
+        m = len(v)
+        for row, a in zip(self.rows, v):
+            row[m] = a
+        self.den = _pivot(self.rows, self.rows[r], m, self.den, 0)
+        return True
+
+    def answer(self, v):
+        """:func:`hull_witness`'s ``(x, y)`` for ``E x = b, x >= 0``, given
+        the image ``v`` of b: ``y`` one integer per row of E."""
+        m = len(v)
+        for i in self.free:
+            if v[i]:
+                sign = 1 if v[i] > 0 else -1
+                return None, [sign * a for a in self.rows[i][:m]]
+        sign = 1 if self.den > 0 else -1
+        values = [sign * v[r] for r in self.pivots]
+        for r, value in zip(self.pivots, values):
+            if value < 0:
+                return None, [-sign * a for a in self.rows[r][:m]]
+        return (sign * self.den, values), None

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from operator import mul
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .distributions import (
     Atom,
@@ -31,78 +32,86 @@ from .distributions import (
     mix2,
 )
 from .errors import DecodeError, InvalidProbability
-from .feasibility import hull_coefficients, separation
+# hull_coefficients is also read from here, by perfbench's checks.
+from .feasibility import PartialBase, columns, hull_coefficients, simplex
 
 
-def _bound_separation(d: Dist, gens: List[Dist]) -> Optional[Dict[Atom, int]]:
-    """A one-atom functional ``{atom: 1}`` or ``{atom: -1}`` separating ``d``
-    from ``gens``, or None when the per-atom bounds do not settle it.
+def _bound_separation(b: List[int], den: int, cols: List[List[int]], dens: List[int]) -> Optional[List[int]]:
+    """A one-row functional, +1 or -1 on one atom and 0 on the others, that
+    separates the column ``b`` (denominator ``den``) from the columns
+    ``cols`` (denominators ``dens``), or None when the per-atom bounds do
+    not settle it.
 
-    An atom whose weight in ``d`` is strictly above, or strictly below, its
-    weight in every generator separates, since every convex combination
-    keeps it between the two. Only atoms of ``d`` and of the first
-    generator can: any other weighs 0 in both.
+    An atom whose weight in ``b`` is strictly above, or strictly below, its
+    weight in every column separates, since every convex combination
+    keeps it between the two. Where ``b`` weighs 0, only below can hold,
+    and it does when every column weighs more than 0.
     """
-    scale, target = d.den, d.nums
-    # The dict union lists d's atoms, then the first generator's others.
-    for atom in target | gens[0].nums:
-        x = target.get(atom, 0)
-        above = below = True
-        for g in gens:
-            diff = x * g.den - g.nums.get(atom, 0) * scale
-            above = above and diff > 0
-            below = below and diff < 0
-            if not (above or below):
-                break
+    for k, (x, row) in enumerate(zip(b, zip(*cols))):
+        if x:
+            above = below = True
+            for c, cden in zip(row, dens):
+                diff = x * cden - c * den
+                above = above and diff > 0
+                below = below and diff < 0
+                if not (above or below):
+                    break
         else:
-            return {atom: 1 if above else -1}
+            above, below = False, all(row)
+        if above or below:
+            y = [0] * len(b)
+            y[k] = 1 if above else -1
+            return y
     return None
 
 
 def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     """Is ``d`` a convex combination of the given distributions?
 
-    Decided exactly on the stored integer forms (``Dist.den`` and
-    ``Dist.nums``). A generator equal to ``d`` answers yes. An atom whose
+    Decided exactly on the integer columns of the generators and ``d``
+    (:func:`columns`). A generator equal to ``d`` answers yes. An atom whose
     weight in ``d`` is strictly above, or strictly below, its weight in every
     generator answers no; this covers an atom no generator has and every
-    Dirac ``d`` outside the hull. Otherwise :func:`hull_coefficients` solves
-    one linear equality per atom over nonnegative coefficients that sum to
-    1, and verifies the answer before it is used.
+    Dirac ``d`` outside the hull. Otherwise the simplex solves one linear
+    equality per atom over nonnegative coefficients that sum to 1, and its
+    answer is verified before it is used.
     """
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("generator set must be non-empty")
     if d in gen_list:
         return True
-    if _bound_separation(d, gen_list) is not None:
+    cols = columns([*gen_list, d])
+    gen_cols, b = cols[:-1], cols[-1]
+    if _bound_separation(b, d.den, gen_cols, [g.den for g in gen_list]) is not None:
         return False
-    return hull_coefficients(d, gen_list) is not None
+    return simplex(gen_cols, b)[0] is not None
 
 
-def _lex_above(q: Dist, r: Dist) -> bool:
-    """Is ``q`` heavier than ``r`` on the first atom, in sorted order, where
-    their weights differ?"""
-    for atom in sorted(q.nums.keys() | r.nums.keys()):
-        x, z = q.nums.get(atom, 0) * r.den, r.nums.get(atom, 0) * q.den
+def _lex_above(q: List[int], qden: int, r: List[int], rden: int) -> bool:
+    """Is the column ``q`` heavier than ``r`` on the first atom, in sorted
+    order, where their weights differ?"""
+    for a, b in zip(q, r):
+        x, z = a * rden, b * qden
         if x != z:
             return x > z
     return False
 
 
-def _farthest(dists: List[Dist], pending: List[int], y: Dict[Atom, int]) -> int:
-    """The index in ``pending`` of the point q maximising ``y·q``, ties going
-    to the lexicographic maximum; that point is a vertex of the face of the
-    pending points' hull on which ``y`` is largest."""
+def _farthest(cols: List[List[int]], dens: List[int], pending: List[int], y: List[int]) -> int:
+    """The index in ``pending`` of the column q maximising ``y·q`` over its
+    denominator, ties going to the lexicographic maximum; that point is a
+    vertex of the face of the pending points' hull on which ``y`` is
+    largest."""
     best = None
     for i in pending:
-        q = dists[i]
-        v = sum(k * q.nums.get(atom, 0) for atom, k in y.items())
+        q, qden = cols[i], dens[i]
+        v = sum(map(mul, y, q))
         if best is not None:
-            c = v * best_den - best_v * q.den
-            if c < 0 or (c == 0 and not _lex_above(q, dists[best])):
+            c = v * best_den - best_v * qden
+            if c < 0 or (c == 0 and not _lex_above(q, qden, cols[best], best_den)):
                 continue
-        best, best_v, best_den = i, v, q.den
+        best, best_v, best_den = i, v, qden
     return best
 
 
@@ -118,33 +127,43 @@ def _extract_base(dists: List[Dist]) -> List[Dist]:
     ``dists`` must be deduplicated. This is Clarkson's output-sensitive
     loop over a partial base E, which keeps an invariant: E holds only
     extreme points, and every point dropped lies in the hull of E. So the
-    pending points and E always generate the whole hull.
+    pending points and E always generate the whole hull. Every test reads
+    the integer columns that :func:`columns` builds once, over the sorted
+    union of the atoms.
 
     E starts with the lexicographic maximum, which is extreme. Then the last
     pending point p is tested against E alone: by the per-atom bounds, then
-    by the verified LP. Inside the hull of E, p is dropped. Outside, the
-    certificate y has ``y·p > y·e`` for every e in E, so over the whole hull
-    y is largest at pending points only. The pending point with the largest
-    ``y·q`` (ties to the lexicographic maximum) is a vertex of that face,
-    hence extreme; it joins E, and p is tested again. Each test drops a
-    point or grows E, so at most ``len(dists) - 1`` LPs run, each over |E|
-    columns.
+    by a verified answer of :class:`PartialBase`, which has two paths. While
+    E is affinely independent (its columns are linearly independent, since
+    they all lie on the hyperplane where weights sum to 1), p's unique
+    coefficients over E, or a certificate, are read off E's echelon form;
+    once E is dependent, the simplex answers. Inside the hull of E, p is
+    dropped. Outside, the certificate y has ``y·p > y·e`` for every e in E,
+    so over the whole hull y is largest at pending points only. The pending
+    point with the largest ``y·q`` (ties to the lexicographic maximum) is a
+    vertex of that face, hence extreme; it joins E, and p is tested again.
+    Each test drops a point or grows E, so at most ``len(dists) - 1`` tests
+    run, each over |E| columns.
     """
     if _known_extreme(dists):
         return dists
+    cols = columns(dists)
+    dens = [d.den for d in dists]
     pending = list(range(len(dists)))
     extreme = [False] * len(dists)
-    base: List[Dist] = []
+    base = PartialBase(len(cols[0]))
+    base_dens: List[int] = []
     # The lexicographic maximum has the largest weight on the least atom.
-    y = {min(next(iter(d.nums)) for d in dists): 1}
+    y = [1] + [0] * (len(cols[0]) - 1)
     while True:
-        i = _farthest(dists, pending, y)
+        i = _farthest(cols, dens, pending, y)
         pending.remove(i)
         extreme[i] = True
-        base.append(dists[i])
+        base.add(cols[i])
+        base_dens.append(dens[i])
         while pending:
-            p = dists[pending[-1]]
-            y = _bound_separation(p, base) or separation(p, base)
+            p = pending[-1]
+            y = _bound_separation(cols[p], dens[p], base.cols, base_dens) or base.separation(cols[p])
             if y is not None:
                 break
             pending.pop()

@@ -50,7 +50,7 @@ class Dist:
     objects, and callers must not change ``nums``.
     """
 
-    __slots__ = ("den", "nums")
+    __slots__ = ("den", "nums", "_hash")
 
     def __init__(self, pairs: Iterable[Tuple[Atom, Rational]]):
         acc: dict = {}
@@ -70,8 +70,9 @@ class Dist:
         self._store(den, ints)
 
     def _store(self, den: int, ints: Dict[Atom, int]) -> "Dist":
-        """Hold ``ints[a] / den``, ints nonnegative, in canonical form; every
-        construction ends here. A sum other than ``den`` is an ArithmeticError."""
+        """Hold ``ints[a] / den``, ints nonnegative, in canonical form, with
+        an empty hash cache; every construction, unpickling included, ends
+        here. A sum other than ``den`` is an ArithmeticError."""
         nums = {a: ints[a] for a in sorted(a for a, n in ints.items() if n)}
         if sum(nums.values()) != den:
             raise ArithmeticError(f"integer weights do not sum to their denominator {den}")
@@ -81,6 +82,7 @@ class Dist:
             nums = {a: n // g for a, n in nums.items()}
         self.den = den
         self.nums = nums
+        self._hash = None  # filled by the first __hash__
         return self
 
     @property
@@ -119,7 +121,9 @@ class Dist:
         return False  # equal: both sum to 1, so neither is a proper prefix
 
     def __hash__(self) -> int:
-        return hash(tuple(self.nums.items()))
+        if self._hash is None:
+            self._hash = hash(tuple(self.nums.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         body = " + ".join(f"{w}*{a!r}" for a, w in self.entries)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .convexsets import ConvexSet, Hull, c_unit, hull_mix, hull_union
 from .distributions import Dist, Rational, ONE, d_unit, exact, mix2
@@ -341,7 +341,8 @@ def evaluate(t: Term, valuation: Callable[[str], ConvexSet]) -> ConvexSet:
 
 def iota(t: Term) -> ConvexSet:
     """Interpret a term as the convex set it denotes."""
-    return evaluate(t, c_unit)
+    units: Dict[str, ConvexSet] = {}  # each atom's one-point set, built once per call
+    return evaluate(t, lambda atom: units.get(atom) or units.setdefault(atom, c_unit(atom)))
 
 
 def binary_chain(weights: List[Rational]) -> List[Rational]:

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import settings
 
+from csl import feasibility
+
 settings.register_profile("csl", deadline=None, max_examples=60)
 settings.load_profile("csl")
 
@@ -14,3 +16,26 @@ def pytest_runtest_call(item):
         return (yield)
     except RecursionError as exc:
         raise AssertionError(f"RecursionError: {exc}") from None
+
+
+@pytest.fixture
+def hull_answers(monkeypatch):
+    """Every hull answer checked by ``feasibility.verified`` from now on, as
+    ``(path, columns)``: path "simplex" for an answer of the simplex kernel,
+    "factorization" for one read off an extraction's echelon form."""
+    answers = []
+    solved = []
+    kernel, check = feasibility._kernel.hull_witness, feasibility.verified
+
+    def solving(rows, ncols):
+        solved.append(ncols)
+        return kernel(rows, ncols)
+
+    def checking(cols, b, x, y):
+        answers.append(("simplex" if solved else "factorization", len(cols)))
+        solved.clear()
+        return check(cols, b, x, y)
+
+    monkeypatch.setattr(feasibility._kernel, "hull_witness", solving)
+    monkeypatch.setattr(feasibility, "verified", checking)
+    return answers

@@ -174,12 +174,22 @@ def test_internal_failure_exits_3_without_traceback(capsys, monkeypatch, exc):
     ids=["coefficients that do not rebuild", "functional that does not separate"],
 )
 def test_a_failed_certificate_check_exits_3_without_traceback(capsys, monkeypatch, answer):
-    monkeypatch.setattr("csl._simplex_py.hull_witness", answer)
-    # the centre of x, y and z is tested by the LP against the three corners
-    code, out, err = run(capsys, "eq", "(or (or x y) (or z (mix 1/3 x (mix 1/2 y z))))", "(or x (or y z))")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ArithmeticError: LP ") and err.count("\n") == 1
+    broken = (
+        # the centre of x, y and z is tested against the three corners, by their echelon form
+        ("csl._simplex_py.Echelon.answer", lambda form, v: answer(form.rows, len(form.pivots)),
+         "(or (or x y) (or z (mix 1/3 x (mix 1/2 y z))))"),
+        # the corners of the trapezoid x, y, (y+z)/2, (x+z)/2 are affinely
+        # dependent, so the test of its inner point reaches the simplex
+        ("csl._simplex_py.hull_witness", answer,
+         "(or (or x y) (or (mix 1/2 y z) (or (mix 1/2 x z) (mix 1/3 x (mix 1/2 y z)))))"),
+    )
+    for target, wrong, text in broken:
+        with monkeypatch.context() as patched:
+            patched.setattr(target, wrong)
+            code, out, err = run(capsys, "eq", text, "(or x (or y z))")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ArithmeticError: LP ") and err.count("\n") == 1
 
 
 @given(st.sampled_from(["eq", "normalize", "canon", "eval"]), fuzzed_text(), fuzzed_text())

@@ -473,30 +473,19 @@ def extraction_instance(rng, kind):
 EXTRACTION_KINDS = ("plain", "dist atoms", "set atoms", "all extreme", "one point", "square", "grid")
 
 
-def test_extraction_matches_the_one_sweep_reference(monkeypatch):
-    from csl import _simplex_py
-
-    columns = []
-    kernel = _simplex_py.hull_witness
-
-    def recording(rows, ncols):
-        columns.append(ncols)
-        return kernel(rows, ncols)
-
+def test_extraction_matches_the_one_sweep_reference(hull_answers):
     rng = Random(4242)
     sizes = {kind: set() for kind in EXTRACTION_KINDS}
     for trial in range(560):
         kind = EXTRACTION_KINDS[trial % len(EXTRACTION_KINDS)]
         dists = sorted(set(extraction_instance(rng, kind)))
         want = one_sweep_extract_base(dists)
-        monkeypatch.setattr(_simplex_py, "hull_witness", recording)
-        columns.clear()
+        hull_answers.clear()
         got = _extract_base(dists)
-        monkeypatch.undo()
         assert got == want, kind
-        # at most one LP per point but the first, each over part of the base
-        assert len(columns) <= len(dists) - 1
-        assert all(ncols <= len(want) for ncols in columns)
+        # at most one test per point but the first, each over part of the base
+        assert len(hull_answers) <= len(dists) - 1
+        assert all(ncols <= len(want) for _, ncols in hull_answers)
         sizes[kind].add((len(want) == len(dists), len(want) == 1))
     assert sizes["all extreme"] == {(True, False)}
     assert sizes["one point"] == {(True, True)}

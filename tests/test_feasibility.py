@@ -1,13 +1,14 @@
 import inspect
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from random import Random
 
 import pytest
 
 from csl import Dist, _simplex_py, convex_combine, convexsets, d_unit, feasibility, member_of_hull
 from csl.distributions import ZERO
-from csl.feasibility import hull_coefficients, kernel_name, separation
+from csl.feasibility import hull_coefficients, kernel_name
 
 from fm_oracle import member_of_hull_fm
 from genrandom import convex, dist, genset, weights
@@ -160,44 +161,159 @@ def test_matches_the_row_scaled_builder_and_fourier_motzkin():
     } | {("outside", False)}
 
 
-def record_lp_calls(monkeypatch):
-    """The targets that ``member_of_hull`` hands to the LP from now on."""
-    calls = []
-
-    def recording(d, gens):
-        calls.append(d)
-        return hull_coefficients(d, gens)
-
-    monkeypatch.setattr("csl.convexsets.hull_coefficients", recording)
-    return calls
-
-
-def test_bound_prefilter_says_outside_only_when_the_lp_and_fourier_motzkin_do(monkeypatch):
-    calls = record_lp_calls(monkeypatch)
+def test_bound_prefilter_says_outside_only_when_the_lp_and_fourier_motzkin_do(hull_answers):
     rng = Random(6021)
     kinds = ("plain", "dirac", "outside", "missing", "repeated", "nested")
     settled = dict.fromkeys(kinds, 0)
     for trial in range(480):
         kind = kinds[trial % len(kinds)]
         gens, target = differential_instance(rng, kind)
-        calls.clear()
+        hull_answers.clear()
         got = member_of_hull(target, gens)
         assert got == member_of_hull_fm(target, gens)
-        if not got and not calls:  # the bound test answered
+        if not got and not hull_answers:  # the bound test answered
             assert hull_coefficients(target, gens) is None
             settled[kind] += 1
     assert all(settled[kind] > 10 for kind in kinds)
 
 
-def test_dirac_outside_and_missing_atom_targets_reach_no_lp(monkeypatch):
-    calls = record_lp_calls(monkeypatch)
+def test_dirac_outside_and_missing_atom_targets_reach_no_lp(hull_answers):
     rng = Random(6022)
     answers = set()
     for trial in range(300):
         gens, target = differential_instance(rng, ("dirac", "outside", "missing")[trial % 3])
         answers.add(member_of_hull(target, gens))
-    assert calls == []
+    assert hull_answers == []
     assert answers == {True, False}
+
+
+# --- the echelon form of an independent partial base ---------------------------
+
+
+def rank(points, atoms):
+    """The rank of the weight vectors of ``points`` over ``atoms``, by
+    Gaussian elimination over Fractions."""
+    rows = [[dict(p.entries).get(a, ZERO) for a in atoms] for p in points]
+    r = 0
+    for c in range(len(atoms)):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def atom_pool(rng, kind, n):
+    """n distinct atoms: names, distributions over x, y, z, or convex sets over x, y."""
+    if kind == "names":
+        return list("abcdefgh"[:n])
+    make = (lambda: dist(rng, atoms="xyz")) if kind == "dists" else (lambda: convex(rng, atoms="xy", max_gens=3))
+    pool = []
+    while len(pool) < n:
+        a = make()
+        if a not in pool:
+            pool.append(a)
+    return pool
+
+
+def independent_instance(rng, trial):
+    """m = 2 to 8 atoms, linearly independent points E over them, 1 to m
+    of them, and a target: a convex combination of E, or a random
+    distribution, which lies in E's span when E has m points (every fourth
+    trial) and mostly outside it otherwise."""
+    atoms = atom_pool(rng, ("names", "dists", "sets")[trial % 3], rng.randint(2, 8))
+    k = len(atoms) if trial % 4 == 0 else rng.randint(1, len(atoms))
+    points = []
+    while len(points) < k:
+        p = dist(rng, atoms)
+        if rank(points + [p], atoms) == len(points) + 1:
+            points.append(p)
+    if trial % 2:
+        return atoms, points, convex_combine(weights(rng, k), points)
+    return atoms, points, dist(rng, atoms)
+
+
+def test_the_echelon_form_answers_as_the_simplex_and_fourier_motzkin():
+    rng = Random(8128)
+    seen = dict.fromkeys(("inside", "negative coefficient", "outside the span"), 0)
+    checked = 0
+    for trial in range(300):
+        atoms, points, target = independent_instance(rng, trial)
+        cols = feasibility.columns([*points, target])
+        gens, b = cols[:-1], cols[-1]
+        form = _simplex_py.Echelon(len(b))
+        assert all(form.extend(form.image(c)) for c in gens)
+        x, y = form.answer(form.image(b))
+        assert (x is None) != (y is None)
+        kx, _ = _simplex_py.hull_witness([list(row) for row in zip(*gens, b)], len(gens))
+        assert (x is not None) == (kx is not None)
+        # Fourier-Motzkin's rows grow exponentially with the points: up to three here
+        if len(points) <= 3:
+            assert (x is not None) == member_of_hull_fm(target, points)
+            checked += 1
+        if x is not None:
+            den, values = x
+            assert den > 0 and min(values) >= 0
+            assert all(sum(v * c[k] for v, c in zip(values, gens)) == b[k] * den for k in range(len(b)))
+            # E is independent, so the coefficients are unique: the kernel's are the same
+            kden, kvalues = kx
+            assert [Fraction(v, den) for v in values] == [Fraction(v, kden) for v in kvalues]
+            seen["inside"] += 1
+        else:
+            dots = [sum(map(mul, y, col)) for col in gens]
+            assert sum(map(mul, y, b)) > 0 and max(dots) <= 0
+            if rank(points + [target], atoms) > len(points):
+                assert dots == [0] * len(gens)  # a free row of M vanishes on E
+                seen["outside the span"] += 1
+            else:  # minus a pivot row of M: negative on one point of E only
+                assert sorted(dots)[1:] == [0] * (len(gens) - 1)
+                seen["negative coefficient"] += 1
+        assert feasibility.verified(gens, b, x, y) == (x, y)
+    assert min(seen.values()) > 40 and checked > 150, (seen, checked)
+
+
+def square(*atoms):
+    """The corners {a, b} x {c, d}, each half on one atom of each pair, and the centre."""
+    a, b, c, d = atoms
+    corners = [convex_combine([Fraction(1, 2)] * 2, [d_unit(u), d_unit(v)]) for u in (a, b) for v in (c, d)]
+    return corners, convex_combine([Fraction(1, 4)] * 4, corners)
+
+
+def test_a_partial_base_turns_to_the_simplex_once_dependent(hull_answers):
+    corners, centre = square("a", "b", "c", "d")
+    cols = feasibility.columns([*corners, centre])
+    base = feasibility.PartialBase(len(cols[0]))
+    paths = []
+    for c in cols[:4]:
+        base.add(c)
+        hull_answers.clear()
+        inside = base.separation(cols[4]) is None
+        paths.append((hull_answers[0][0], inside))
+    # the centre is the midpoint of corners 2 and 3, the diagonal of the first three;
+    # the fourth corner is the first three's affine combination, so E turns dependent
+    assert base.form is None
+    assert paths == [("factorization", False), ("factorization", False),
+                     ("factorization", True), ("simplex", True)]
+
+
+def test_planted_extreme_points_are_extracted_without_the_simplex(hull_answers):
+    rng = Random(8129)
+    for _ in range(40):
+        atoms = "stuvwxyz"[: rng.randint(3, 8)]
+        # each planted point puts over half its mass on its own atom
+        planted = [convex_combine([Fraction(2, 3), Fraction(1, 3)], [d_unit(a), dist(rng, atoms=atoms)])
+                   for a in rng.sample(atoms, rng.randint(3, len(atoms)))]
+        inner = [convex_combine(weights(rng, len(planted)), planted) for _ in range(rng.randint(1, 6))]
+        dists = sorted(set(planted + inner))
+        hull_answers.clear()
+        assert convexsets._extract_base(dists) == sorted(planted)
+        # every inner point is tested, and every test is read off the echelon form
+        assert {path for path, _ in hull_answers} == {"factorization"}
 
 
 # --- every answer is verified -----------------------------------------------------
@@ -213,15 +329,37 @@ def wrong_functional(rows, ncols):
     return None, [1] * len(rows)
 
 
+def column_simplex(d, gens):
+    """The simplex path of an extraction, on the columns of ``gens`` and ``d``."""
+    cols = feasibility.columns([*gens, d])
+    return feasibility.simplex(cols[:-1], cols[-1])
+
+
 @pytest.mark.parametrize("kernel", [wrong_coefficients, wrong_functional])
 def test_an_answer_that_fails_its_check_raises(monkeypatch, kernel):
     monkeypatch.setattr(_simplex_py, "hull_witness", kernel)
     mid = convex_combine([Fraction(1, 2)] * 2, [d_unit("x"), d_unit("y")])
-    for solve in (hull_coefficients, separation):
+    for solve in (hull_coefficients, column_simplex):
         with pytest.raises(ArithmeticError):
             solve(mid, [d_unit("x"), d_unit("y")])
     with pytest.raises(ArithmeticError):
         member_of_hull(mid, [d_unit("x"), d_unit("y")])
+
+
+def wrong_echelon_coefficients(form, v):
+    return wrong_coefficients(form.rows, len(form.pivots))
+
+
+def wrong_echelon_functional(form, v):
+    return wrong_functional(form.rows, len(form.pivots))
+
+
+@pytest.mark.parametrize("answer", [wrong_echelon_coefficients, wrong_echelon_functional])
+def test_an_echelon_answer_that_fails_its_check_raises(monkeypatch, answer):
+    monkeypatch.setattr(_simplex_py.Echelon, "answer", answer)
+    corners, centre = square("a", "b", "c", "d")
+    with pytest.raises(ArithmeticError):
+        convexsets._extract_base(sorted(corners[:3] + [centre]))
 
 
 # --- what perfbench's tracer wraps and calls -----------------------------------------
