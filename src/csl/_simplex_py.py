@@ -26,18 +26,23 @@ vector y solving ``y B = c_B`` has ``y A <= 0`` (the reduced costs are
 optimal) and ``y b`` equal to the remaining artificial mass, which is
 positive.
 
-:class:`Echelon` answers the same question without a simplex when the
-columns of A are linearly independent. It keeps the Gauss-Jordan form of
-``[A | I]`` under the same pivot update, so that its right block M has
-``M A = den * U``, U holding one unit column per column of A (its pivot
-row), and every entry of M is a minor of ``[A | I]``. A new column c
-enters as ``M c`` in one pivot. A target b is read off ``v = M b``:
-``v`` nonzero on a row that is no pivot row puts b outside the span of A,
-and that row of M, signed like its entry, is a Farkas vector (it is 0 on
-every column of A); otherwise ``b = A x`` with ``x[j] = v[r_j] / den`` at
-the pivot row r_j of column j, and a negative ``x[j]`` makes minus row
-r_j of M, signed like ``den``, a Farkas vector (``-|den|`` on column j, 0
-on the others, positive on b).
+:class:`Basis` answers the same question for the growing partial base E of
+an extraction, keeping one basis of E's span across all its tests: the
+fraction-free Gauss-Jordan form of ``[E | I]``, whose right block M has
+``M E_B = den * U``, U holding one unit column per basic column (its pivot
+row); every entry of M is a minor of ``[E | I]``. A new column enters by one
+pivot when it lies outside the span of the basis. A target b is read off
+``v = M b``. ``v`` nonzero on a row that is no pivot row puts b outside E's
+span, and that row of M, signed like its entry, is a Farkas vector (0 on
+E). Otherwise ``b = E_B x``, ``x[j] = v[r_j] / den`` at the pivot row r_j of
+column j. With zero costs every basis is dual feasible, so Terlaky's
+least-index criss-cross (*A convergent criss-cross method*, 1985) needs no
+phase one: the least basic j with ``x[j] < 0`` leaves at its row r, and the
+least nonbasic c with ``M[r] c`` of the sign opposite to ``den`` enters. If
+there is none, minus row r of M, signed like ``den``, is a Farkas vector
+(``-|den|`` on column j, 0 on the other basic columns, at most 0 on the
+nonbasic ones, positive on b). The rule never cycles, from any basis, so
+each test starts from the basis the last one left.
 """
 
 from operator import mul
@@ -156,57 +161,66 @@ def _farkas(columns, n, basis):
     return y
 
 
-class Echelon:
-    """The fraction-free Gauss-Jordan form ``M E = den * U`` of linearly
-    independent integer columns E, each of length ``m``, grown one column
-    at a time; ``answer`` gives :func:`hull_witness`'s answer for E.
-
-    Each row of ``rows`` is a row of M plus one last scratch slot, where a
-    new column's entries sit while it is pivoted in.
+class Basis:
+    """Integer columns ``cols`` (E), each of length ``m``, grown one at a
+    time, and a basis of them in the form ``M E_B = den * U``. Each row of
+    ``rows`` is a row of M plus one last scratch slot, where an entering
+    column's image sits while it is pivoted in. ``row_of`` holds the pivot
+    row of each basic column of E, -1 for a nonbasic one.
     """
 
-    __slots__ = ("rows", "den", "pivots", "free")
+    __slots__ = ("cols", "rows", "den", "row_of", "free")
 
     def __init__(self, m):
+        self.cols = []
         self.rows = [[0] * (m + 1) for _ in range(m)]
         for i, row in enumerate(self.rows):
             row[i] = 1
         self.den = 1
-        self.pivots = []  # the pivot row of each column of E, in order
+        self.row_of = []
         self.free = list(range(m))  # the rows that are no pivot row
 
     def image(self, c):
         """``M c``, one integer per row."""
         return [sum(map(mul, row, c)) for row in self.rows]
 
-    def extend(self, v):
-        """Add the column whose image is ``v`` to E, by one pivot on its
-        first nonzero entry in a free row. Returns False, and changes
-        nothing, when there is none: the column lies in the span of E."""
-        for r in self.free:
-            if v[r]:
-                break
-        else:
-            return False
-        self.free.remove(r)
-        self.pivots.append(r)
+    def _enter(self, j, r, v):
+        """Make column j, whose image is ``v``, basic at row r, by one pivot."""
         m = len(v)
         for row, a in zip(self.rows, v):
             row[m] = a
         self.den = _pivot(self.rows, self.rows[r], m, self.den, 0)
-        return True
+        self.row_of[j] = r
 
-    def answer(self, v):
-        """:func:`hull_witness`'s ``(x, y)`` for ``E x = b, x >= 0``, given
-        the image ``v`` of b: ``y`` one integer per row of E."""
-        m = len(v)
-        for i in self.free:
-            if v[i]:
-                sign = 1 if v[i] > 0 else -1
-                return None, [sign * a for a in self.rows[i][:m]]
-        sign = 1 if self.den > 0 else -1
-        values = [sign * v[r] for r in self.pivots]
-        for r, value in zip(self.pivots, values):
-            if value < 0:
-                return None, [-sign * a for a in self.rows[r][:m]]
-        return (sign * self.den, values), None
+    def add(self, c):
+        """Append the column c to E; it becomes basic at its first nonzero
+        free row, and stays nonbasic when it lies in the span of the basis."""
+        self.cols.append(c)
+        self.row_of.append(-1)
+        v = self.image(c)
+        for r in self.free:
+            if v[r]:
+                self.free.remove(r)
+                self._enter(len(self.cols) - 1, r, v)
+                return
+
+    def answer(self, b):
+        """:func:`hull_witness`'s ``(x, y)`` for ``E x = b, x >= 0``: ``y``
+        one integer per row of E, ``x`` one value per column."""
+        while True:
+            v = self.image(b)
+            for i in self.free:
+                if v[i]:
+                    sign = 1 if v[i] > 0 else -1
+                    return None, [sign * a for a in self.rows[i][:-1]]
+            sign = 1 if self.den > 0 else -1
+            r = next((r for r in self.row_of if r >= 0 and sign * v[r] < 0), -1)
+            if r < 0:
+                return (sign * self.den, [sign * v[r] if r >= 0 else 0 for r in self.row_of]), None
+            row = self.rows[r]
+            j = next((j for j, (c, s) in enumerate(zip(self.cols, self.row_of))
+                      if s < 0 and sign * sum(map(mul, row, c)) < 0), -1)
+            if j < 0:
+                return None, [-sign * a for a in row[:-1]]
+            self.row_of[self.row_of.index(r)] = -1
+            self._enter(j, r, self.image(self.cols[j]))

@@ -133,11 +133,13 @@ def _extract_base(dists: List[Dist]) -> List[Dist]:
 
     E starts with the lexicographic maximum, which is extreme. Then the last
     pending point p is tested against E alone: by the per-atom bounds, then
-    by a verified answer of :class:`PartialBase`, which has two paths. While
-    E is affinely independent (its columns are linearly independent, since
-    they all lie on the hyperplane where weights sum to 1), p's unique
-    coefficients over E, or a certificate, are read off E's echelon form;
-    once E is dependent, the simplex answers. Inside the hull of E, p is
+    by a verified answer of :class:`PartialBase`, which keeps one basis of
+    E's columns for the whole extraction. A joining point enters it by one
+    pivot unless its column lies in the span of E's. A test reads p's
+    coefficients over the basis, or a certificate, off its echelon form; a
+    negative coefficient starts Terlaky's least-index criss-cross from the
+    basis the last test left, which ends, after finitely many pivots, in
+    coefficients or a certificate over all of E. Inside the hull of E, p is
     dropped. Outside, the certificate y has ``y·p > y·e`` for every e in E,
     so over the whole hull y is largest at pending points only. The pending
     point with the largest ``y·q`` (ties to the lexicographic maximum) is a
@@ -330,12 +332,15 @@ def c_mult(s: ConvexSet) -> ConvexSet:
     """Flatten a convex set of distributions over convex sets.
 
     ``s`` must have base elements that are distributions whose atoms are
-    themselves ``ConvexSet`` values. For each such distribution, every way
-    of picking one base element per inner set is mixed with the outer
-    weights; the hull of all these finitely many picks is the flattening.
+    themselves ``ConvexSet`` values (a ``TypeError`` otherwise). For each
+    such distribution, every way of picking one base element per inner set
+    is mixed with the outer weights; the hull of all these finitely many
+    picks is the flattening.
     """
     candidates = []
     for phi in s.base:
+        if not all(isinstance(u, ConvexSet) for u in phi.nums):
+            raise TypeError(f"c_mult needs distributions over convex sets, got {phi!r}")
         inner = [u for u, _ in phi.entries]
         weights = [w for _, w in phi.entries]
         for choice in itertools.product(*(u.base for u in inner)):

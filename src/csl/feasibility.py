@@ -18,9 +18,10 @@ implied and no row is built for it; ``alpha_j = D_j beta_j / D_d``.
 
 Two solvers in ``csl._simplex_py`` answer it: the fraction-free simplex
 kernel, on the rows where the target or some column is nonzero
-(:func:`simplex`), and, for the growing partial base of an extraction
-while its columns stay linearly independent, an echelon form read in one
-substitution (:class:`PartialBase`). No answer of either is used before
+(:func:`simplex`), for one-shot queries; and, for every test against the
+growing partial base of an extraction, a least-index criss-cross on one
+basis of its columns, which each test starts from where the last one left
+it (:class:`PartialBase`). No answer of either is used before
 :func:`verified`, the one check, accepts it with integer dot products.
 Coefficients must rebuild every atom of the target, which also gives the
 convexity condition. A Farkas vector y (one integer per atom) must have
@@ -86,33 +87,17 @@ def simplex(cols: Sequence[List[int]], b: List[int]):
     return verified(cols, b, x, y)
 
 
-class PartialBase:
-    """The columns of a growing point set E, each of one length m, and the
-    test of a column against the hull of E.
+class PartialBase(_kernel.Basis):
+    """The columns ``cols`` of a growing point set E, each of length m, and
+    the test of a column against the hull of E: the answer of its
+    :class:`csl._simplex_py.Basis`, once :func:`verified` accepts it."""
 
-    While E is linearly independent, every test is read off E's echelon form
-    (:class:`csl._simplex_py.Echelon`), which one pivot extends when a point
-    joins; from the first point that lies in E's span on, tests run the
-    simplex. Both answers pass :func:`verified`.
-    """
-
-    __slots__ = ("cols", "form")
-
-    def __init__(self, m: int):
-        self.cols: List[List[int]] = []
-        self.form = _kernel.Echelon(m)
-
-    def add(self, c: List[int]) -> None:
-        self.cols.append(c)
-        if self.form is not None and not self.form.extend(self.form.image(c)):
-            self.form = None
+    __slots__ = ()
 
     def separation(self, b: List[int]) -> Optional[List[int]]:
         """None when ``b`` is in the hull of E; otherwise a verified Farkas
         vector y, one integer per row, with ``y·b > 0 >= y·e`` on E."""
-        if self.form is None:
-            return simplex(self.cols, b)[1]
-        return verified(self.cols, b, *self.form.answer(self.form.image(b)))[1]
+        return verified(self.cols, b, *self.answer(b))[1]
 
 
 def hull_coefficients(d: Dist, gens: Iterable[Dist]) -> Optional[List[Fraction]]:

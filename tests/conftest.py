@@ -22,7 +22,7 @@ def pytest_runtest_call(item):
 def hull_answers(monkeypatch):
     """Every hull answer checked by ``feasibility.verified`` from now on, as
     ``(path, columns)``: path "simplex" for an answer of the simplex kernel,
-    "factorization" for one read off an extraction's echelon form."""
+    "basis" for one of an extraction's warm-started basis."""
     answers = []
     solved = []
     kernel, check = feasibility._kernel.hull_witness, feasibility.verified
@@ -32,7 +32,7 @@ def hull_answers(monkeypatch):
         return kernel(rows, ncols)
 
     def checking(cols, b, x, y):
-        answers.append(("simplex" if solved else "factorization", len(cols)))
+        answers.append(("simplex" if solved else "basis", len(cols)))
         solved.clear()
         return check(cols, b, x, y)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csl import _simplex_py
 from csl.cli import main
 from genrandom import fuzzed_json, fuzzed_text
 
@@ -174,14 +175,22 @@ def test_internal_failure_exits_3_without_traceback(capsys, monkeypatch, exc):
     ids=["coefficients that do not rebuild", "functional that does not separate"],
 )
 def test_a_failed_certificate_check_exits_3_without_traceback(capsys, monkeypatch, answer):
+    real = _simplex_py.Basis.answer
+
+    def after_a_pivot(basis, b):
+        before = list(basis.row_of)
+        right = real(basis, b)
+        return right if basis.row_of == before else answer(basis.rows, len(basis.cols))
+
     broken = (
-        # the centre of x, y and z is tested against the three corners, by their echelon form
-        ("csl._simplex_py.Echelon.answer", lambda form, v: answer(form.rows, len(form.pivots)),
+        # the centre of x, y and z is tested against the three corners, by their basis
+        ("csl._simplex_py.Basis.answer", lambda basis, b: answer(basis.rows, len(basis.cols)),
          "(or (or x y) (or z (mix 1/3 x (mix 1/2 y z))))"),
-        # the corners of the trapezoid x, y, (y+z)/2, (x+z)/2 are affinely
-        # dependent, so the test of its inner point reaches the simplex
-        ("csl._simplex_py.hull_witness", answer,
-         "(or (or x y) (or (mix 1/2 y z) (or (mix 1/2 x z) (mix 1/3 x (mix 1/2 y z)))))"),
+        # the corners of the square over a, b and c, d are affinely
+        # dependent, and the test of the point on its diagonal pivots
+        ("csl._simplex_py.Basis.answer", after_a_pivot,
+         "(or (mix 1/2 a c) (or (mix 1/2 a d) (or (mix 1/2 b c) (or (mix 1/2 b d)"
+         " (mix 1/3 (mix 1/2 a c) (mix 1/2 b d))))))"),
     )
     for target, wrong, text in broken:
         with monkeypatch.context() as patched:

@@ -393,6 +393,13 @@ def test_monad_associativity():
         assert c_mult(c_map(c_mult, t)) == c_mult(c_mult(t))
 
 
+def test_mult_of_a_set_over_atoms_that_are_not_sets_is_a_type_error():
+    # the atoms are a name and a distribution; both raised AttributeError on .base
+    for atom in ("a", DX):
+        with pytest.raises(TypeError, match="c_mult needs distributions over convex sets, got "):
+            c_mult(c_unit(atom))
+
+
 # --- membership for nested atoms ------------------------------------------------
 
 

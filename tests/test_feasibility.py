@@ -6,12 +6,13 @@ from random import Random
 
 import pytest
 
-from csl import Dist, _simplex_py, convex_combine, convexsets, d_unit, feasibility, member_of_hull
+from csl import (Dist, _simplex_py, c_mult, convex_combine, convexsets, d_unit, dist_make, feasibility, iota,
+                 member_of_hull)
 from csl.distributions import ZERO
 from csl.feasibility import hull_coefficients, kernel_name
 
 from fm_oracle import member_of_hull_fm
-from genrandom import convex, dist, genset, weights
+from genrandom import convex, dist, genset, nested, term, weights
 
 
 def random_system(rng, max_vars=6, max_rows=6, max_entry=9, min_entry=0):
@@ -187,7 +188,7 @@ def test_dirac_outside_and_missing_atom_targets_reach_no_lp(hull_answers):
     assert answers == {True, False}
 
 
-# --- the echelon form of an independent partial base ---------------------------
+# --- the basis of a partial base -------------------------------------------------
 
 
 def rank(points, atoms):
@@ -246,9 +247,11 @@ def test_the_echelon_form_answers_as_the_simplex_and_fourier_motzkin():
         atoms, points, target = independent_instance(rng, trial)
         cols = feasibility.columns([*points, target])
         gens, b = cols[:-1], cols[-1]
-        form = _simplex_py.Echelon(len(b))
-        assert all(form.extend(form.image(c)) for c in gens)
-        x, y = form.answer(form.image(b))
+        form = _simplex_py.Basis(len(b))
+        for c in gens:
+            form.add(c)
+        assert -1 not in form.row_of  # independent columns all enter the basis
+        x, y = form.answer(b)
         assert (x is None) != (y is None)
         kx, _ = _simplex_py.hull_witness([list(row) for row in zip(*gens, b)], len(gens))
         assert (x is not None) == (kx is not None)
@@ -277,6 +280,48 @@ def test_the_echelon_form_answers_as_the_simplex_and_fourier_motzkin():
     assert min(seen.values()) > 40 and checked > 150, (seen, checked)
 
 
+def grid_point(rng, atoms, den):
+    """A distribution over ``atoms`` whose weights are multiples of 1/den.
+    On so coarse a grid, points often repeat a face, a line or another
+    point's support, which makes the degenerate bases a criss-cross meets."""
+    cuts = sorted(rng.choices(range(den + 1), k=len(atoms) - 1))
+    return dist_make([(a, Fraction(hi - lo, den)) for a, lo, hi in zip(atoms, [0] + cuts, cuts + [den])])
+
+
+def test_the_basis_answers_as_the_simplex_and_fourier_motzkin_from_warm_starts():
+    rng = Random(8130)
+    seen = dict.fromkeys(("inside", "outside", "pivoted", "dependent", "dependent, rank-deficient"), 0)
+    checked = 0
+    for trial in range(250):
+        atoms = "abcde"[: rng.randint(3, 5)]
+        den = rng.randint(2, 4)
+        # on odd trials E misses the last atom, so its span stays short of the targets'
+        face = atoms[: len(atoms) - trial % 2]
+        points = list(dict.fromkeys(grid_point(rng, face, den) for _ in range(rng.randint(2, 8))))
+        targets = [grid_point(rng, atoms, den) for _ in range(2)]
+        targets += [convex_combine(weights(rng, k), rng.sample(points, k))
+                    for k in (rng.randint(1, len(points)), len(points))]
+        cols = feasibility.columns([*points, *targets])
+        basis = _simplex_py.Basis(len(cols[0]))
+        for k, c in enumerate(cols[: len(points)], 1):
+            basis.add(c)
+            # every target against every E, so most answers start from the basis the last one left
+            for t, b in zip(targets, cols[len(points):]):
+                before = list(basis.row_of)
+                x, y = feasibility.verified(basis.cols, b, *basis.answer(b))
+                kx, _ = _simplex_py.hull_witness([list(row) for row in zip(*basis.cols, b)], k)
+                assert (x is not None) == (kx is not None)
+                if k <= 3:  # Fourier-Motzkin's rows grow exponentially with the points
+                    assert (x is not None) == member_of_hull_fm(t, points[:k])
+                    checked += 1
+                seen["inside" if x is not None else "outside"] += 1
+                seen["pivoted"] += basis.row_of != before
+        if -1 in basis.row_of:
+            seen["dependent"] += 1
+            seen["dependent, rank-deficient"] += bool(basis.free)
+    assert min(seen.values()) > 40 and checked > 1000, (seen, checked)
+
+
 def square(*atoms):
     """The corners {a, b} x {c, d}, each half on one atom of each pair, and the centre."""
     a, b, c, d = atoms
@@ -284,7 +329,7 @@ def square(*atoms):
     return corners, convex_combine([Fraction(1, 4)] * 4, corners)
 
 
-def test_a_partial_base_turns_to_the_simplex_once_dependent(hull_answers):
+def test_a_dependent_point_stays_nonbasic_and_the_basis_answers(hull_answers):
     corners, centre = square("a", "b", "c", "d")
     cols = feasibility.columns([*corners, centre])
     base = feasibility.PartialBase(len(cols[0]))
@@ -295,10 +340,9 @@ def test_a_partial_base_turns_to_the_simplex_once_dependent(hull_answers):
         inside = base.separation(cols[4]) is None
         paths.append((hull_answers[0][0], inside))
     # the centre is the midpoint of corners 2 and 3, the diagonal of the first three;
-    # the fourth corner is the first three's affine combination, so E turns dependent
-    assert base.form is None
-    assert paths == [("factorization", False), ("factorization", False),
-                     ("factorization", True), ("simplex", True)]
+    # the fourth corner is the first three's affine combination, so it stays nonbasic
+    assert base.row_of[3] == -1 and -1 not in base.row_of[:3]
+    assert paths == [("basis", False), ("basis", False), ("basis", True), ("basis", True)]
 
 
 def test_planted_extreme_points_are_extracted_without_the_simplex(hull_answers):
@@ -312,8 +356,17 @@ def test_planted_extreme_points_are_extracted_without_the_simplex(hull_answers):
         dists = sorted(set(planted + inner))
         hull_answers.clear()
         assert convexsets._extract_base(dists) == sorted(planted)
-        # every inner point is tested, and every test is read off the echelon form
-        assert {path for path, _ in hull_answers} == {"factorization"}
+        # every inner point is tested, and every test is answered by the basis
+        assert {path for path, _ in hull_answers} == {"basis"}
+
+
+def test_extraction_never_runs_the_simplex(hull_answers):
+    rng = Random(8132)
+    for _ in range(40):
+        c_mult(nested(rng, atoms=("w", "x", "y", "z"), inner_max=4))
+        iota(term(rng, 6, atoms=("w", "x", "y", "z")))
+    paths = [path for path, _ in hull_answers]
+    assert "simplex" not in paths and len(paths) > 200, len(paths)
 
 
 # --- every answer is verified -----------------------------------------------------
@@ -346,20 +399,36 @@ def test_an_answer_that_fails_its_check_raises(monkeypatch, kernel):
         member_of_hull(mid, [d_unit("x"), d_unit("y")])
 
 
-def wrong_echelon_coefficients(form, v):
-    return wrong_coefficients(form.rows, len(form.pivots))
+def wrong_echelon_coefficients(basis, b):
+    return wrong_coefficients(basis.rows, len(basis.cols))
 
 
-def wrong_echelon_functional(form, v):
-    return wrong_functional(form.rows, len(form.pivots))
+def wrong_echelon_functional(basis, b):
+    return wrong_functional(basis.rows, len(basis.cols))
 
 
 @pytest.mark.parametrize("answer", [wrong_echelon_coefficients, wrong_echelon_functional])
 def test_an_echelon_answer_that_fails_its_check_raises(monkeypatch, answer):
-    monkeypatch.setattr(_simplex_py.Echelon, "answer", answer)
+    real = _simplex_py.Basis.answer
+
+    def once_dependent(basis, b):
+        return (answer if -1 in basis.row_of else real)(basis, b)
+
     corners, centre = square("a", "b", "c", "d")
-    with pytest.raises(ArithmeticError):
-        convexsets._extract_base(sorted(corners[:3] + [centre]))
+    diagonal = convex_combine([Fraction(1, 3), Fraction(2, 3)], [corners[0], corners[3]])
+    broken = (
+        # every answer, over three independent corners
+        (corners[:3] + [centre], answer),
+        # the answers over four corners, one of them nonbasic: for the centre
+        # the basis answers at once, for the point on the diagonal after a pivot
+        (corners + [centre], once_dependent),
+        (corners + [diagonal], once_dependent),
+    )
+    for points, wrong in broken:
+        with monkeypatch.context() as patched:
+            patched.setattr(_simplex_py.Basis, "answer", wrong)
+            with pytest.raises(ArithmeticError):
+                convexsets._extract_base(sorted(points))
 
 
 # --- what perfbench's tracer wraps and calls -----------------------------------------
