@@ -1,11 +1,11 @@
 """Finitely generated convex sets of distributions, canonically represented.
 
-A convex set is stored as its unique base: the generators that survive after
-every distribution expressible as a convex combination of the others has
-been removed. Uniqueness of that base makes structural equality of the
-stored tuples coincide with equality of the generated convex sets, so
+A convex set is identified by its unique base: the generators that survive
+after every distribution expressible as a convex combination of the others
+has been removed. Uniqueness of that base makes structural equality of the
+sorted base tuples coincide with equality of the generated convex sets, so
 ``ConvexSet`` is an ordinary value type with ``==``, hashing and a total
-order.
+order, whether it holds its base or, built by union or mixing, generators.
 
 Like distributions, everything here is generic in the atom type: the atoms
 of the base elements may themselves be ``ConvexSet`` values, which is how
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .distributions import (
     Atom,
@@ -69,10 +69,11 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     """Is ``d`` a convex combination of the given distributions?
 
     Decided exactly on the integer columns of the generators and ``d``
-    (:func:`columns`). A generator equal to ``d`` answers yes. An atom whose
-    weight in ``d`` is strictly above, or strictly below, its weight in every
-    generator answers no; this covers an atom no generator has and every
-    Dirac ``d`` outside the hull. Otherwise the simplex solves one linear
+    (:func:`columns`). A generator equal to ``d`` answers yes, and an atom
+    of ``d`` that no generator has answers no before any column is built.
+    An atom whose weight in ``d`` is strictly above, or strictly below, its
+    weight in every generator answers no; this covers every Dirac ``d``
+    outside the hull. Otherwise the simplex solves one linear
     equality per atom over nonnegative coefficients that sum to 1, and its
     answer is verified before it is used.
     """
@@ -81,6 +82,8 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
         raise ValueError("generator set must be non-empty")
     if d in gen_list:
         return True
+    if not set().union(*[g.nums for g in gen_list]).issuperset(d.nums):
+        return False
     cols = columns([*gen_list, d])
     gen_cols, b = cols[:-1], cols[-1]
     if _bound_separation(b, d.den, gen_cols, [g.den for g in gen_list]) is not None:
@@ -174,67 +177,87 @@ def _extract_base(dists: List[Dist]) -> List[Dist]:
 
 
 class ConvexSet:
-    """The convex hull of finitely many distributions, held as its base.
+    """The convex hull of finitely many distributions, canonically its base.
 
     The constructor accepts any non-empty iterable of generators and
-    canonicalizes: duplicates collapse, generators inside the hull of the
-    others are dropped, and the survivors are kept sorted. Two sets built
-    from different generator lists compare equal exactly when they generate
-    the same hull.
+    canonicalizes at once: duplicates collapse, generators inside the hull
+    of the others are dropped, and the survivors are kept sorted. Two sets
+    built from different generator lists compare equal exactly when they
+    generate the same hull.
+
+    :func:`convex_union` and :func:`minkowski` build a set lazily: it holds
+    distinct generators, and whether they are known to be its base, until
+    ``base`` is first read, directly or by ``==``, hashing, ordering,
+    iteration, ``len``, ``repr`` or pickling. Then it extracts, by way of
+    the constructor, or only sorts points known to be the base. ``in``
+    tests against the points the set holds, which generate the same hull.
+
+    Lazy generators are a list, not a tuple: CPython sizes a tuple built
+    from a generator by a guess and resizes it, then frees it onto the free
+    list of its final size, so those lists fill up over a long run. With
+    tuples there, peak RSS rose by 1 MB over a hundred rounds of
+    ``eq-random``.
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ("_points", "_extreme", "_base")
 
     def __init__(self, generators: Iterable[Dist]):
         gens = sorted(set(generators))
         if not gens:
             raise ValueError("a convex set needs at least one generator")
-        self._base = tuple(_extract_base(gens))
+        self._points = self._base = tuple(_extract_base(gens))
+        self._extreme = True
 
     @classmethod
-    def _of_base(cls, base: Iterable[Dist]) -> "ConvexSet":
-        """The set whose base is ``base``, known to be distinct extreme points."""
+    def _lazy(cls, points: Sequence[Dist], extreme: bool) -> "ConvexSet":
+        """The set generated by the distinct ``points``; ``extreme`` says
+        they are known to be its base, as two or fewer always are."""
         s = cls.__new__(cls)
-        s._base = tuple(sorted(base))
+        s._points, s._extreme, s._base = points, extreme or _known_extreme(points), None
         return s
 
     @property
     def base(self) -> Tuple[Dist, ...]:
+        if self._base is None:
+            self._points = self._base = (
+                tuple(sorted(self._points)) if self._extreme else ConvexSet(self._points)._base
+            )
+            self._extreme = True
         return self._base
 
     def __iter__(self):
-        return iter(self._base)
+        return iter(self.base)
 
     def __len__(self) -> int:
-        return len(self._base)
+        return len(self.base)
 
     def __contains__(self, d) -> bool:
-        return isinstance(d, Dist) and member_of_hull(d, self._base)
+        return isinstance(d, Dist) and member_of_hull(d, self._points)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
             return NotImplemented
-        return self._base == other._base
+        return self.base == other.base
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
             return NotImplemented
-        return self._base < other._base
+        return self.base < other.base
 
     def __le__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
             return NotImplemented
-        return self._base <= other._base
+        return self.base <= other.base
 
     def __hash__(self) -> int:
-        return hash(self._base)
+        return hash(self.base)
 
     def __repr__(self) -> str:
-        return f"ConvexSet({list(self._base)!r})"
+        return f"ConvexSet({list(self.base)!r})"
 
     def __reduce__(self):
-        # The stored base is already canonical, so rebuilding skips extraction.
-        return ConvexSet._of_base, (self._base,)
+        # A base is already extreme, so rebuilding skips extraction.
+        return ConvexSet._lazy, (self.base, True)
 
 
 def unique_base(gens: Iterable[Dist]) -> ConvexSet:
@@ -248,75 +271,42 @@ def from_generators(gens: Iterable[Dist]) -> ConvexSet:
 
 
 def convex_union(s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
-    """Hull of the union of two convex sets."""
-    return ConvexSet(s1.base + s2.base)
+    """Hull of the union of two convex sets, generated lazily by the
+    order-preserving deduplicated concatenation of their points."""
+    return ConvexSet._lazy(list(dict.fromkeys([*s1._points, *s2._points])), False)
 
 
-class Hull:
-    """Distinct generators of a convex set, and whether they are known to be
-    its base: what :func:`minkowski` and ``terms.evaluate`` mix and join
-    before any base is extracted.
-
-    The generators are a list, not a tuple: CPython sizes a tuple built from
-    a generator by a guess and resizes it, then frees it onto the free list
-    of its final size, so those lists fill up over a long run. With tuples
-    here, peak RSS rose by 1 MB over a hundred rounds of ``eq-random``.
-    """
-
-    __slots__ = ("points", "is_base")
-
-    def __init__(self, points: List[Dist], is_base: bool):
-        self.points = points
-        self.is_base = is_base or _known_extreme(points)
-
-    @classmethod
-    def of(cls, s: ConvexSet) -> "Hull":
-        return cls(list(s.base), True)
-
-    def extracted(self) -> "Hull":
-        return self if self.is_base else Hull(list(ConvexSet(self.points).base), True)
-
-    def convex_set(self) -> ConvexSet:
-        return ConvexSet._of_base(self.points) if self.is_base else ConvexSet(self.points)
-
-
-def hull_union(h1: Hull, h2: Hull) -> Hull:
-    """Generators of the hull of the union: the order-preserving
-    deduplicated concatenation."""
-    return Hull(list(dict.fromkeys(h1.points + h2.points)), False)
-
-
-def hull_mix(p: Fraction, h1: Hull, h2: Hull) -> Hull:
-    """Generators of the p-mix of two hulls, ``p`` known to lie in (0,1):
-    the pairwise mixes (:func:`mix2`), after extracting both bases when both
-    sides hold two or more points. With a one-point side ``c``,
+def mix_sets(p: Fraction, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
+    """The p-mix of two convex sets, ``p`` known to lie in (0,1), generated
+    lazily by the pairwise mixes (:func:`mix2`), after extracting both bases
+    when both sides hold two or more points. With a one-point side ``c``,
     ``x -> p*x + q*c`` (or ``q*x + p*c``) is an injective affine map, so the
     mixes are distinct, and the image of a base is a base.
     """
-    if len(h1.points) > 1 and len(h2.points) > 1:
-        a, b = h1.extracted().points, h2.extracted().points
-        return Hull(list(dict.fromkeys(mix2(p, x, y) for x in a for y in b)), False)
-    mixes = [mix2(p, x, y) for x in h1.points for y in h2.points]
-    return Hull(mixes, h1.is_base and h2.is_base)
+    if len(s1._points) > 1 and len(s2._points) > 1:
+        a, b = s1.base, s2.base
+        return ConvexSet._lazy(list(dict.fromkeys(mix2(p, x, y) for x in a for y in b)), False)
+    mixes = [mix2(p, x, y) for x in s1._points for y in s2._points]
+    return ConvexSet._lazy(mixes, s1._extreme and s2._extreme)
 
 
 def minkowski(p: Rational, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
     """Elementwise p-weighted mixture of two convex sets.
 
-    Operating on the bases is enough: mixing the hulls equals the hull of
-    the pairwise mixes, each one integer step (:func:`mix2`). With a
-    one-point side the mixes are already the base, up to order, and nothing
-    is extracted (:func:`hull_mix`).
+    Mixing the hulls equals the hull of the pairwise mixes, each one
+    integer step (:func:`mix2`), so the result is generated by those
+    (:func:`mix_sets`). With a one-point side the mixes are already the
+    base, up to order, and nothing is ever extracted.
     """
     p = exact(p)
     if not 0 < p < 1:
         raise InvalidProbability(f"mixing probability must lie in (0,1), got {p}")
-    return hull_mix(p, Hull.of(s1), Hull.of(s2)).convex_set()
+    return mix_sets(p, s1, s2)
 
 
 def c_unit(atom: Atom) -> ConvexSet:
     """The singleton convex set on a Dirac distribution."""
-    return ConvexSet._of_base((d_unit(atom),))
+    return ConvexSet._lazy([d_unit(atom)], True)
 
 
 def c_map(f: Callable[[Atom], Atom], s: ConvexSet) -> ConvexSet:

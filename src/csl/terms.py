@@ -5,11 +5,12 @@ rational p strictly between 0 and 1, a probabilistic mix ``Mix(p, -, -)``.
 Terms are interpreted as convex sets of distributions (:func:`iota`); going
 the other way, :func:`kappa` rebuilds a canonical term from a convex set's
 base, and :func:`canon` composes the two into a normal form that decides
-semantic equality. Evaluation (:func:`evaluate`) carries plain generator
-lists up the term and extracts a base only before a mix whose sides both
-hold two or more points, at a shared subterm and at the root: any
-generating set of a convex set has the same unique base, so the answer is
-that of extracting at every node.
+semantic equality. Evaluation (:func:`evaluate`) folds the term with the
+two set operations, which carry plain generator lists up the term and
+extract a base only before a mix whose sides both hold two or more points,
+at a shared subterm and when the result's base is read: any generating set
+of a convex set has the same unique base, so the answer is that of
+extracting at every node.
 
 Normalization (:func:`rewrite_np`) distributes every mix over the choices
 beneath it, producing the n-p form: a choice among purely probabilistic
@@ -28,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .convexsets import ConvexSet, Hull, c_unit, hull_mix, hull_union
+from .convexsets import ConvexSet, c_unit, convex_union, mix_sets
 from .distributions import Dist, Rational, ONE, d_unit, exact, mix2
 from .errors import InvalidProbability, NotAWeightVector, ParseError
 
@@ -305,7 +306,7 @@ def rewrite_np(t: Term) -> NPForm:
         ],
     )
     summands.sort(key=lambda sd: sd[1])
-    return NPForm(tuple([s for s, _ in summands]))  # from a list: see convexsets.Hull
+    return NPForm(tuple([s for s, _ in summands]))  # from a list: see convexsets.ConvexSet
 
 
 # --- interpretation ---------------------------------------------------------
@@ -321,22 +322,26 @@ def _no_choice(left, right):
 
 
 def evaluate(t: Term, valuation: Callable[[str], ConvexSet]) -> ConvexSet:
-    """Evaluate a term at the given atom values, each shared subterm once.
+    """Evaluate a term at the given atom values, each shared subterm once:
+    the fold of :func:`convex_union` at choices and :func:`mix_sets` at mixes.
 
-    Every node carries a list of generators of its set, and a base is
-    extracted only where skipping it would multiply generators: on both
-    sides of a mix whose sides both hold two or more points, at a subterm
-    that more than one parent reads, and once at the root. A leaf holds its
-    value's base; a choice, the deduplicated concatenation of its sides; a
-    mix, the pairwise mixes (:func:`mix2`). The answer is the same as
-    extracting at every node, because every generating set of a convex set
-    has the same unique base. No node holds more than the product of two
-    bases plus the generators its choices gather above that, and a value
-    known to be a base (a leaf's, or a base mixed with one point) is never
-    extracted again.
+    Both build sets that hold generators, so a base is extracted only where
+    skipping it would multiply generators: on both sides of a mix whose
+    sides both hold two or more points, at a subterm that more than one
+    parent reads, and when the caller reads the result's base. The answer
+    is the same as extracting at every node, because every generating set
+    of a convex set has the same unique base. No node holds more than the
+    product of two bases plus the generators its choices gather above that,
+    and a set known to be a base (a leaf's, or a base mixed with one point)
+    is never extracted again.
     """
-    hull = fold(t, lambda n: Hull.of(valuation(n.atom)), hull_union, hull_mix, Hull.extracted)
-    return hull.convex_set()
+    return fold(t, lambda n: valuation(n.atom), convex_union, mix_sets, _extracted)
+
+
+def _extracted(s: ConvexSet) -> ConvexSet:
+    """``s``, its base extracted before the parents that share it read it."""
+    s.base
+    return s
 
 
 def iota(t: Term) -> ConvexSet:

@@ -1,11 +1,12 @@
 """``evaluate`` against the eager reference that extracts a base at every node.
 
-``evaluate`` carries raw generator lists and extracts only before a mix
-whose sides both hold two or more points, and at the root. The reference
-below is the fold it replaced: ``convex_union`` at every choice and
-``minkowski`` at every mix. Both must give the same base, and the lazy one
-must not answer more hull tests (counted where they are verified, by the
-``hull_answers`` fixture, whichever path answered them).
+``evaluate`` is the fold of ``convex_union`` and ``minkowski``'s rule,
+which carry raw generator lists and extract only before a mix whose sides
+both hold two or more points, at a shared subterm, and when the result's
+base is read. The reference below builds ``ConvexSet`` at every choice and
+every mix. Both must give the same base, and the lazy one must not answer
+more hull tests (counted where they are verified, by the ``hull_answers``
+fixture, whichever path answered them).
 """
 
 import sys
@@ -26,6 +27,8 @@ from csl import (
     minkowski,
     parse_term,
 )
+from csl.convexsets import _extract_base
+from csl.distributions import mix2
 from csl.terms import fold
 from genrandom import convex, nested, prob, term
 
@@ -35,7 +38,9 @@ THIRD = Fraction(1, 3)
 
 def eager_evaluate(t, valuation):
     """The reference: a base at every node."""
-    return fold(t, lambda n: valuation(n.atom), convex_union, minkowski)
+    return fold(t, lambda n: valuation(n.atom),
+                lambda s1, s2: ConvexSet(s1.base + s2.base),
+                lambda p, s1, s2: ConvexSet([mix2(p, x, y) for x in s1.base for y in s2.base]))
 
 
 def shared_tower(levels):
@@ -113,6 +118,35 @@ def test_a_leaf_and_a_base_mixed_with_a_point_solve_no_lp(hull_answers):
             assert got == minkowski(p, s1, s2)
 
 
+@pytest.mark.parametrize("make", [convex, nested], ids=["sets", "nested sets"])
+def test_a_chain_of_public_calls_extracts_as_evaluate_does(monkeypatch, make):
+    calls = []
+
+    def counting(dists):
+        calls.append(len(dists))
+        return _extract_base(dists)
+
+    monkeypatch.setattr("csl.convexsets._extract_base", counting)
+    rng = Random(9005)
+    wide = eager = 0
+    for _ in range(60):
+        env = {a: make(rng) for a in ATOMS}
+        t = term(rng, rng.randint(2, 4), ATOMS)  # no subterm object occurs twice
+        calls.clear()
+        convex_union(env["x"], env["y"])
+        assert calls == []  # a union extracts nothing until its base is read
+        want = evaluate(t, env.__getitem__).base
+        folded = list(calls)
+        calls.clear()
+        got = fold(t, lambda n: env[n.atom], convex_union, minkowski).base
+        assert got == want and calls == folded
+        wide += sum(n > 2 for n in calls)
+        calls.clear()
+        eager_evaluate(t, env.__getitem__)
+        eager += sum(n > 2 for n in calls)
+    assert 20 < wide < eager
+
+
 def or_chain(atoms, depth):
     """(or (or ... (or a0 a1) ...) a_depth): one Or per level, the atoms cycled."""
     text = "(or " * depth + atoms[0] + "".join(f" {atoms[(k + 1) % len(atoms)]})" for k in range(depth))
@@ -128,7 +162,7 @@ def test_deep_or_chains_hold_at_most_two_points(monkeypatch, atoms, want):
     def watched(t, leaf, or_, mix, shared):
         def or_sized(left, right):
             value = or_(left, right)
-            sizes.append(len(value.points))
+            sizes.append(len(value._points))
             return value
 
         return fold(t, leaf, or_sized, mix, shared)

@@ -1,4 +1,5 @@
 import inspect
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -6,13 +7,13 @@ from random import Random
 
 import pytest
 
-from csl import (Dist, _simplex_py, c_mult, convex_combine, convexsets, d_unit, dist_make, feasibility, iota,
+from csl import (ConvexSet, Dist, _simplex_py, c_mult, convex_combine, convexsets, d_unit, dist_make, feasibility, iota,
                  member_of_hull)
 from csl.distributions import ZERO
 from csl.feasibility import hull_coefficients, kernel_name
 
 from fm_oracle import member_of_hull_fm
-from genrandom import convex, dist, genset, nested, term, weights
+from genrandom import convex, dist, genset, nested, prob, term, weights
 
 
 def random_system(rng, max_vars=6, max_rows=6, max_entry=9, min_entry=0):
@@ -434,7 +435,7 @@ def test_an_echelon_answer_that_fails_its_check_raises(monkeypatch, answer):
 # --- what perfbench's tracer wraps and calls -----------------------------------------
 
 
-def test_the_benchmark_tracer_finds_what_it_reads():
+def test_the_benchmark_tracer_finds_what_it_reads(monkeypatch):
     # perfbench/spans.py counts kernel calls by unpacking (rows, ncols) from
     # the positional arguments of csl.feasibility._kernel.hull_witness.
     kernel = feasibility._kernel.hull_witness
@@ -447,3 +448,25 @@ def test_the_benchmark_tracer_finds_what_it_reads():
     assert convexsets.hull_coefficients(d_unit("z"), [x, y]) is None
     # It wraps Dist.weight to count weight reads.
     assert Dist.weight(mid, "x") == Fraction(1, 2)
+    # It counts construct_calls, generators_in and base_out in
+    # ConvexSet.__init__, so every extraction that tests a point must run
+    # there: in iota, in a chain of public unions and mixes, and in c_mult.
+    wide = []
+
+    def extract_base(dists):
+        if len(dists) > 2:
+            wide.append(len(dists))
+            assert sys._getframe(1).f_code is ConvexSet.__init__.__code__
+        return real(dists)
+
+    real = convexsets._extract_base
+    monkeypatch.setattr(convexsets, "_extract_base", extract_base)
+    rng = Random(437)
+    for _ in range(40):
+        iota(term(rng, 5)).base
+        s = convex(rng)
+        for _ in range(3):
+            s = convexsets.minkowski(prob(rng), convexsets.convex_union(s, convex(rng)), convex(rng))
+        s.base
+        c_mult(nested(rng))
+    assert len(wide) > 100
