@@ -118,12 +118,6 @@ def _farthest(cols: List[List[int]], dens: List[int], pending: List[int], y: Lis
     return best
 
 
-def _known_extreme(dists: List[Dist]) -> bool:
-    """Are the distinct ``dists`` all extreme without a test? Two or fewer
-    are: distinct points are the ends of their segment."""
-    return len(dists) <= 2
-
-
 def _extract_base(dists: List[Dist]) -> List[Dist]:
     """The extreme points of ``dists``, in their given order.
 
@@ -150,7 +144,7 @@ def _extract_base(dists: List[Dist]) -> List[Dist]:
     Each test drops a point or grows E, so at most ``len(dists) - 1`` tests
     run, each over |E| columns.
     """
-    if _known_extreme(dists):
+    if len(dists) <= 2:  # distinct points are the ends of their segment
         return dists
     cols = columns(dists)
     dens = [d.den for d in dists]
@@ -205,7 +199,8 @@ class ConvexSet:
         gens = sorted(set(generators))
         if not gens:
             raise ValueError("a convex set needs at least one generator")
-        self._points = self._base = tuple(_extract_base(gens))
+        self._base = tuple(_extract_base(gens))
+        self._points = self._base
         self._extreme = True
 
     @classmethod
@@ -213,15 +208,19 @@ class ConvexSet:
         """The set generated by the distinct ``points``; ``extreme`` says
         they are known to be its base, as two or fewer always are."""
         s = cls.__new__(cls)
-        s._points, s._extreme, s._base = points, extreme or _known_extreme(points), None
+        s._points = points
+        s._extreme = extreme or len(points) <= 2
+        s._base = None
         return s
 
     @property
     def base(self) -> Tuple[Dist, ...]:
         if self._base is None:
-            self._points = self._base = (
-                tuple(sorted(self._points)) if self._extreme else ConvexSet(self._points)._base
-            )
+            if self._extreme:
+                self._base = tuple(sorted(self._points))
+            else:
+                self._base = ConvexSet(self._points).base
+            self._points = self._base
             self._extreme = True
         return self._base
 

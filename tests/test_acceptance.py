@@ -10,6 +10,7 @@ from fractions import Fraction
 from random import Random
 
 from csl import (
+    ConvexSet,
     Leaf,
     Mix,
     Or,
@@ -37,6 +38,7 @@ from csl import (
     unique_base,
 )
 from csl.cli import main
+from csl.distributions import mix2
 from csl.terms import np_summands
 
 from fm_oracle import member_of_hull_fm
@@ -234,6 +236,8 @@ def test_criterion_7_rewriting_soundness_and_termination():
 
     # Rewriting shares untouched subterm objects between steps, so an
     # id-keyed memo makes per-step evaluation cost only the rebuilt spine.
+    # It builds a base at every node, so checking it against iota compares
+    # two extraction schedules.
     cache = {}
     keep_alive = []
 
@@ -243,9 +247,10 @@ def test_criterion_7_rewriting_soundness_and_termination():
             if isinstance(t, Leaf):
                 got = c_unit(t.atom)
             elif isinstance(t, Or):
-                got = convex_union(value_of(t.left), value_of(t.right))
+                got = ConvexSet(value_of(t.left).base + value_of(t.right).base)
             else:
-                got = minkowski(t.p, value_of(t.left), value_of(t.right))
+                left, right = value_of(t.left).base, value_of(t.right).base
+                got = ConvexSet([mix2(t.p, x, y) for x in left for y in right])
             cache[id(t)] = got
             keep_alive.append(t)
         return got

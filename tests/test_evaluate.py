@@ -67,6 +67,7 @@ def compare(cases, hull_answers):
     for t, valuation in cases:
         hull_answers.clear()
         got = evaluate(t, valuation)
+        got.base  # the root extracts where its base is first read
         lazy += len(hull_answers)
         hull_answers.clear()
         want = eager_evaluate(t, valuation)
@@ -114,6 +115,7 @@ def test_a_leaf_and_a_base_mixed_with_a_point_solve_no_lp(hull_answers):
         for t, s1, s2 in ((Mix(p, Leaf("s"), Leaf("a")), wide, env["a"]),
                           (Mix(p, Leaf("a"), Mix(p, Leaf("a"), Leaf("s"))), env["a"], minkowski(p, env["a"], wide))):
             got = evaluate(t, env.__getitem__)
+            got.base
             assert hull_answers == []
             assert got == minkowski(p, s1, s2)
 

@@ -365,7 +365,7 @@ def test_extraction_never_runs_the_simplex(hull_answers):
     rng = Random(8132)
     for _ in range(40):
         c_mult(nested(rng, atoms=("w", "x", "y", "z"), inner_max=4))
-        iota(term(rng, 6, atoms=("w", "x", "y", "z")))
+        iota(term(rng, 6, atoms=("w", "x", "y", "z"))).base
     paths = [path for path, _ in hull_answers]
     assert "simplex" not in paths and len(paths) > 200, len(paths)
 
