@@ -6,6 +6,9 @@ has been removed. Uniqueness of that base makes structural equality of the
 sorted base tuples coincide with equality of the generated convex sets, so
 ``ConvexSet`` is an ordinary value type with ``==``, hashing and a total
 order, whether it holds its base or, built by union or mixing, generators.
+The same theorem lets ``==`` extract one side only: generators G span the
+hull of a base B exactly when B is part of G and G lies in the hull of B,
+since every generating set of a hull contains its unique base.
 
 Like distributions, everything here is generic in the atom type: the atoms
 of the base elements may themselves be ``ConvexSet`` values, which is how
@@ -91,6 +94,14 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     return simplex(gen_cols, b)[0] is not None
 
 
+def _separation(base: PartialBase, dens: List[int], b: List[int], den: int) -> Optional[List[int]]:
+    """A functional separating the column ``b`` (denominator ``den``) from
+    the hull of the columns of ``base`` (denominators ``dens``), or None
+    when ``b`` lies inside: by the per-atom bounds, then by the basis's
+    verified answer."""
+    return _bound_separation(b, den, base.cols, dens) or base.separation(b)
+
+
 def _lex_above(q: List[int], qden: int, r: List[int], rden: int) -> bool:
     """Is the column ``q`` heavier than ``r`` on the first atom, in sorted
     order, where their weights differ?"""
@@ -162,7 +173,7 @@ def _extract_base(dists: List[Dist]) -> List[Dist]:
         base_dens.append(dens[i])
         while pending:
             p = pending[-1]
-            y = _bound_separation(cols[p], dens[p], base.cols, base_dens) or base.separation(cols[p])
+            y = _separation(base, base_dens, cols[p], dens[p])
             if y is not None:
                 break
             pending.pop()
@@ -181,10 +192,14 @@ class ConvexSet:
 
     :func:`convex_union` and :func:`minkowski` build a set lazily: it holds
     distinct generators, and whether they are known to be its base, until
-    ``base`` is first read, directly or by ``==``, hashing, ordering,
-    iteration, ``len``, ``repr`` or pickling. Then it extracts, by way of
-    the constructor, or only sorts points known to be the base. ``in``
-    tests against the points the set holds, which generate the same hull.
+    ``base`` is first read, directly or by hashing, ordering, iteration,
+    ``len``, ``repr`` or pickling. Then it extracts, by way of the
+    constructor, or only sorts points known to be the base. ``in`` tests
+    against the points the set holds, which generate the same hull. ``==``
+    with such a side reads the other side's base B and tests the
+    generators against it, by the uniqueness of the base: equal exactly
+    when every element of B is a generator and every other generator lies
+    in the hull of B. Then B becomes the lazy side's base too.
 
     Lazy generators are a list, not a tuple: CPython sizes a tuple built
     from a generator by a guess and resizes it, then frees it onto the free
@@ -236,7 +251,37 @@ class ConvexSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
             return NotImplemented
+        if other._base is None and not other._extreme:
+            return other._generated_by(self.base)
+        if self._base is None and not self._extreme:
+            return self._generated_by(other.base)
         return self.base == other.base
+
+    def _generated_by(self, base: Tuple[Dist, ...]) -> bool:
+        """Is ``base`` the base of the hull of this set's points? If so,
+        the set takes it as its own.
+
+        Every generating set of a hull contains the hull's unique base, so
+        the points generate the hull of ``base`` exactly when they include
+        ``base`` and the others lie in its hull. A missing element answers
+        no before any column is built; the others are tested against one
+        basis of ``base``'s columns, as an extraction tests a point.
+        """
+        extreme = set(base)
+        if not extreme.issubset(self._points):
+            return False
+        rest = [p for p in self._points if p not in extreme]
+        if rest:
+            cols = columns([*base, *rest])
+            hull = PartialBase(len(cols[0]))
+            for c in cols[:len(base)]:
+                hull.add(c)
+            dens = [d.den for d in base]
+            if any(_separation(hull, dens, c, p.den) for c, p in zip(cols[len(base):], rest)):
+                return False
+        self._base = self._points = base
+        self._extreme = True
+        return True
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
@@ -277,13 +322,14 @@ def convex_union(s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
 
 def mix_sets(p: Fraction, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
     """The p-mix of two convex sets, ``p`` known to lie in (0,1), generated
-    lazily by the pairwise mixes (:func:`mix2`), after extracting both bases
-    when both sides hold two or more points. With a one-point side ``c``,
+    lazily by the pairwise mixes (:func:`mix2`) of both sides' bases when
+    both hold two or more points, extracting a side only when its points
+    are not known to be its base. With a one-point side ``c``,
     ``x -> p*x + q*c`` (or ``q*x + p*c``) is an injective affine map, so the
     mixes are distinct, and the image of a base is a base.
     """
     if len(s1._points) > 1 and len(s2._points) > 1:
-        a, b = s1.base, s2.base
+        a, b = (s._points if s._extreme else s.base for s in (s1, s2))
         return ConvexSet._lazy(list(dict.fromkeys(mix2(p, x, y) for x in a for y in b)), False)
     mixes = [mix2(p, x, y) for x in s1._points for y in s2._points]
     return ConvexSet._lazy(mixes, s1._extreme and s2._extreme)

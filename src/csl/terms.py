@@ -377,13 +377,16 @@ def kappa_p(d: Dist) -> Term:
     """The canonical purely probabilistic term evaluating to ``d``.
 
     Atoms are taken in canonical order and folded into a left-nested chain
-    of mixes; ``iota_p(kappa_p(d)) == d`` exactly.
+    of mixes; ``iota_p(kappa_p(d)) == d`` exactly. The probabilities are
+    :func:`binary_chain`'s, read off the stored integer weights: the k-th
+    is the prefix sum of the first k over that of the first k + 1.
     """
-    entries = d.entries
-    ps = binary_chain([w for _, w in entries])
-    t: Term = Leaf(entries[0][0])
-    for p, (atom, _) in zip(ps, entries[1:]):
-        t = Mix(p, t, Leaf(atom))
+    nums = iter(d.nums.items())
+    atom, prefix = next(nums)
+    t: Term = Leaf(atom)
+    for atom, n in nums:
+        t = Mix(Fraction(prefix, prefix + n), t, Leaf(atom))
+        prefix += n
     return t
 
 
@@ -403,7 +406,8 @@ def canon(t: Term) -> Term:
 
 
 def decide_eq(t1: Term, t2: Term) -> bool:
-    """Do two terms denote the same convex set?"""
+    """Do two terms denote the same convex set? ``==`` extracts one side's
+    base and tests the other side's generators against it."""
     return iota(t1) == iota(t2)
 
 

@@ -12,6 +12,8 @@ from csl import (
     ConvexSet,
     Dist,
     InvalidProbability,
+    Mix,
+    Or,
     c_map,
     c_mult,
     c_unit,
@@ -19,20 +21,25 @@ from csl import (
     convex_union,
     d_map,
     d_unit,
+    decide_eq,
     dist_make,
     from_generators,
+    iota,
     member_of_hull,
     minkowski,
+    parse_term,
     pne_d_map_then_base,
+    print_term,
     set_from_obj,
     set_to_obj,
     unique_base,
 )
+from csl import _simplex_py
 from csl.convexsets import _extract_base
 from csl.distributions import dist_to_obj, mix2
 from csl.errors import DecodeError
 
-from genrandom import convex, dist, genset, nested, nested3, prob, weights
+from genrandom import convex, dist, genset, nested, nested3, prob, term, weights
 
 F = Fraction
 HALF = F(1, 2)
@@ -599,6 +606,184 @@ def test_the_timed_constructors_extract_at_once(monkeypatch):
     monkeypatch.setattr("csl.convexsets._extract_base", extracting)
     for s in built:
         assert s.base
+
+
+# --- equality from one base ----------------------------------------------------------
+
+
+def lazy(gens):
+    """The set of ``gens`` as a union builds it: generators, no base yet."""
+    return ConvexSet._lazy(list(dict.fromkeys(gens)), False)
+
+
+def is_lazy(s):
+    return s._base is None and not s._extreme
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """The sizes of the point lists ``_extract_base`` is called on from now on."""
+    calls = []
+
+    def extracting(dists):
+        calls.append(len(dists))
+        return _extract_base(dists)
+
+    monkeypatch.setattr("csl.convexsets._extract_base", extracting)
+    return calls
+
+
+def equality_instance(rng, make_atoms):
+    """Two generator lists: the second the first's base, less one element
+    at times, plus points inside its hull and, at times, one outside."""
+    gens = genset(rng, atoms=make_atoms(rng), max_gens=6)
+    base = list(ConvexSet(gens).base)
+    other = list(base)
+    if len(other) > 1 and rng.randint(0, 3) == 0:
+        other.remove(rng.choice(other))
+    for _ in range(rng.randint(0, 3)):
+        chosen = rng.sample(base, min(len(base), 3))
+        other.append(convex_combine(weights(rng, len(chosen)), chosen))
+    if rng.randint(0, 3) == 0:
+        other.append(dist(rng, atoms=make_atoms(rng)))
+    rng.shuffle(other)
+    return gens, other
+
+
+def flat_atoms(rng):
+    return "wxyz"
+
+
+def set_atoms(rng):
+    return list(dict.fromkeys(convex(rng, atoms="xy", max_gens=3) for _ in range(3)))
+
+
+@pytest.mark.parametrize("make_atoms", [flat_atoms, set_atoms], ids=["sets", "nested sets"])
+def test_equality_with_a_lazy_side_agrees_with_comparing_bases(make_atoms):
+    rng = Random(4343)
+    verdicts = set()
+    for _ in range(150):
+        gens1, gens2 = equality_instance(rng, make_atoms)
+        want = ConvexSet(gens1).base == ConvexSet(gens2).base
+        verdicts.add(want)
+        for left, right in ((lazy, lazy), (lazy, ConvexSet), (ConvexSet, lazy), (ConvexSet, ConvexSet)):
+            s1, s2 = left(gens1), right(gens2)
+            assert (s1 == s2) == (s2 == s1) == want
+            assert (s1 != s2) != want
+    assert verdicts == {True, False}
+
+
+def rotated_triangle():
+    """Three points over x, y, z whose hull the per-atom bounds do not
+    settle: inside, the centroid; outside, (2/3, 0, 1/3)."""
+    w = [F(2, 3), F(1, 3), F(0)]
+    corners = [D(*zip("xyz", w[-k:] + w[:-k])) for k in range(3)]
+    return corners, D(*zip("xyz", [F(1, 3)] * 3)), D(("x", F(2, 3)), ("z", F(1, 3)))
+
+
+def test_equality_needs_the_base_among_the_generators_and_no_point_outside(hull_answers):
+    corners = [D((u, HALF), (v, HALF)) for u in "ab" for v in "cd"]
+    square = ConvexSet(corners)
+    midpoints = [mix2(HALF, p, q) for p, q in itertools.combinations(corners, 2)]
+    cases = [
+        (square, midpoints, False, 0),  # inside the hull, but no corner
+        (square, corners[1:] + midpoints, False, 0),  # one corner missing
+        (square, corners + midpoints, True, 5),  # each edge midpoint and the centre placed
+    ]
+    triangle, centroid, outside = rotated_triangle()
+    cases += [
+        (ConvexSet(triangle), triangle + [centroid], True, 1),
+        (ConvexSet(triangle), triangle + [outside], False, 1),
+        (ConvexSet(triangle), triangle + [centroid, outside], False, 2),
+        (ConvexSet(triangle), triangle + [d_unit("w")], False, 0),  # an atom no corner has
+    ]
+    for known, gens, want, answers in cases:
+        assert known.base
+        for s1, s2 in ((known, lazy(gens)), (lazy(gens), known)):
+            hull_answers.clear()
+            assert (s1 == s2) == want
+            assert len(hull_answers) == answers and all(path == "basis" for path, _ in hull_answers)
+
+
+def test_equality_with_a_known_side_extracts_nothing_and_passes_the_base_on(extractions):
+    rng = Random(4344)
+    passed = 0
+    for _ in range(100):
+        gens1, gens2 = equality_instance(rng, flat_atoms)
+        known = ConvexSet(gens1)
+        for s1, s2 in ((known, lazy(gens2)), (lazy(gens2), known)):
+            side = s2 if s1 is known else s1
+            was_lazy = is_lazy(side)
+            extractions.clear()
+            if s1 == s2:
+                passed += was_lazy
+                assert side.base == known.base and hash(side) == hash(known)
+                assert side.base is known.base or not was_lazy  # taken over, not extracted
+            else:
+                assert is_lazy(side) == was_lazy
+            assert extractions == []
+    assert passed > 50
+
+
+def fresh(t):
+    return parse_term(print_term(t))
+
+
+def test_decide_eq_extracts_one_root(extractions, hull_answers):
+    rng = Random(4345)
+    one_root = refuted = 0
+    for _ in range(150):
+        t1, t2, p = term(rng, 4), term(rng, 4), prob(rng)
+        # the convexity law, over fresh copies so that no subterm is shared
+        left = Or(fresh(t1), fresh(t2))
+        right = Or(Or(fresh(t1), fresh(t2)), Mix(p, fresh(t1), fresh(t2)))
+        extractions.clear()
+        iota(left).base
+        s2 = iota(right)
+        needed = list(extractions)
+        extractions.clear()
+        assert decide_eq(left, right)
+        assert sorted(extractions) == sorted(needed)
+        one_root += is_lazy(s2) and len(s2._points) > 2
+        # an unrelated term: no hull answer after the first extraction when
+        # a base element is not among the other's generators
+        s1, s3 = iota(t1), iota(term(rng, 4))
+        s1.base
+        hull_answers.clear()
+        if is_lazy(s3) and not set(s1.base) <= set(s3._points):
+            assert s1 != s3 and s3 != s1
+            assert hull_answers == []
+            refuted += 1
+    assert one_root > 100 and refuted > 30
+
+
+@pytest.mark.parametrize("answer", [
+    lambda basis, b: ((1, [0] * len(basis.cols)), None),  # coefficients that rebuild nothing
+    lambda basis, b: (None, [0] * len(b)),  # a functional that separates nothing
+], ids=["coefficients", "functional"])
+def test_equality_raises_on_an_answer_that_fails_its_check(monkeypatch, answer):
+    triangle, centroid, outside = rotated_triangle()
+    monkeypatch.setattr(_simplex_py.Basis, "answer", answer)
+    for point in (centroid, outside):
+        known = ConvexSet._lazy(triangle, True)  # built without an extraction
+        with pytest.raises(ArithmeticError):
+            known == lazy(triangle + [point])
+
+
+def test_mixing_two_sets_known_to_be_bases_extracts_neither():
+    rng = Random(4346)
+    two_sided = 0
+    for _ in range(30):
+        sides = [minkowski(prob(rng), ConvexSet(genset(rng, max_gens=5)), c_unit(a)) for a in "uv"]
+        sides.append(convex_union(c_unit("s"), c_unit("t")))
+        s1, s2 = rng.sample(sides, 2)
+        assert s1._base is None and s2._base is None and s1._extreme and s2._extreme
+        two_sided += len(s1._points) > 1 and len(s2._points) > 1
+        p = prob(rng)
+        mixed = minkowski(p, s1, s2)
+        assert s1._base is None and s2._base is None
+        assert mixed == eager_mix(p, s1, s2)
+    assert two_sided > 15
 
 
 # --- JSON ---------------------------------------------------------------------------

@@ -398,6 +398,18 @@ def test_binary_chain_probabilities_lie_inside_interval():
             assert 0 < p < 1
 
 
+def test_kappa_p_mixes_with_the_binary_chain_weights():
+    rng = Random(32)
+    for _ in range(200):
+        d = dist(rng, atoms="abcdef", max_den=60)
+        t, ps = kappa_p(d), []
+        while isinstance(t, Mix):
+            ps.append(t.p)
+            t = t.left
+        assert ps[::-1] == binary_chain([w for _, w in d.entries])
+        assert iota_p(kappa_p(d)) == d
+
+
 def test_kappa_p_examples():
     assert kappa_p(d_unit("x")) == X
     assert kappa_p(dist_make([("x", HALF), ("y", HALF)])) == Mix(HALF, X, Y)
