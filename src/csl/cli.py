@@ -5,8 +5,8 @@ Exit codes follow scripting conventions: 0 for success (and for "equal"),
 error (unparsable term, malformed JSON or JSON nested too deeply for the
 decoder, bad weights), 3 for an internal or resource failure on
 well-formed input (a failed exactness check, a linear-programming answer
-whose certificate fails its check, running out of memory, or a
-``RecursionError`` should any walk still recurse).
+whose certificate fails its check, running out of memory, a number too
+long to print, or a ``RecursionError`` should any walk still recurse).
 Errors print one ``error: ...`` line to stderr, never a traceback.
 """
 
@@ -156,7 +156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, ArithmeticError, MemoryError) as exc:
+    except (RecursionError, ArithmeticError, MemoryError, ValueError) as exc:  # ValueError: a number too long to print
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,10 @@ stays as its specification. It is the only recursive walk: the others are
 loops or one :func:`fold`, so nesting depth is bounded by memory alone.
 Syntactic identity serves users and tests, not decisions: one table that
 numbers subterms by content carries ``==``, ``hash`` and pickling, and one
-loop emits both ``repr`` and the text form.
+loop emits both ``repr`` and the text form. Each check on a node runs once:
+a mix built by the parser (which checks its probability as integers), by
+rewriting, by :func:`kappa_p` or by :func:`substitute` skips the public
+constructor's check of ``p``, and n-p summands skip :func:`is_pterm`.
 """
 
 from __future__ import annotations
@@ -115,6 +118,15 @@ class Mix(_Node):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+
+    @classmethod
+    def _trusted(cls, p: Fraction, left: "Term", right: "Term") -> "Mix":
+        """The mix at a Fraction ``p`` already known to lie in (0,1), unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "left", left)
+        object.__setattr__(m, "right", right)
+        return m
 
 
 Term = Union[Leaf, Or, Mix]
@@ -302,11 +314,13 @@ def rewrite_np(t: Term) -> NPForm:
         lambda n: [(n, d_unit(n.atom))],
         lambda left, right: left + right,  # a new list: a memoised child may be shared
         lambda p, left, right: [
-            (Mix(p, a, b), mix2(p, da, db)) for a, da in left for b, db in right
+            (Mix._trusted(p, a, b), mix2(p, da, db)) for a, da in left for b, db in right
         ],
     )
     summands.sort(key=lambda sd: sd[1])
-    return NPForm(tuple([s for s, _ in summands]))  # from a list: see convexsets.ConvexSet
+    np = object.__new__(NPForm)  # summands of leaves and mixes alone: no is_pterm walk
+    object.__setattr__(np, "summands", tuple([s for s, _ in summands]))  # from a list: see convexsets.ConvexSet
+    return np
 
 
 # --- interpretation ---------------------------------------------------------
@@ -347,7 +361,7 @@ def _extracted(s: ConvexSet) -> ConvexSet:
 def iota(t: Term) -> ConvexSet:
     """Interpret a term as the convex set it denotes."""
     units: Dict[str, ConvexSet] = {}  # each atom's one-point set, built once per call
-    return evaluate(t, lambda atom: units.get(atom) or units.setdefault(atom, c_unit(atom)))
+    return evaluate(t, lambda atom: units[atom] if atom in units else units.setdefault(atom, c_unit(atom)))
 
 
 def binary_chain(weights: List[Rational]) -> List[Rational]:
@@ -385,7 +399,7 @@ def kappa_p(d: Dist) -> Term:
     atom, prefix = next(nums)
     t: Term = Leaf(atom)
     for atom, n in nums:
-        t = Mix(Fraction(prefix, prefix + n), t, Leaf(atom))
+        t = Mix._trusted(Fraction(prefix, prefix + n), t, Leaf(atom))
         prefix += n
     return t
 
@@ -413,7 +427,7 @@ def decide_eq(t1: Term, t2: Term) -> bool:
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace leaf atoms by terms; atoms absent from the mapping stay."""
-    return fold(t, lambda n: mapping.get(n.atom, n), Or, Mix)
+    return fold(t, lambda n: mapping.get(n.atom, n), Or, Mix._trusted)
 
 
 # --- text form --------------------------------------------------------------
@@ -424,91 +438,87 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
 #
 # "(or a b c)" abbreviates "(or (or a b) c)". Whitespace between tokens is
 # free; printing always emits the fully parenthesized binary form, so
-# parse_term(print_term(t)) == t.
+# parse_term(print_term(t)) == t. The tokens are one findall of _TOKEN, each
+# of the kind its first character names (_KIND); any other character, and a
+# lone "-", is an error. Positions are found only for an error, by finditer.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<open>\()|(?P<close>\))|(?P<atom>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>-?[0-9]+(?:/[0-9]+)?)|(?P<bad>\S))"
-)
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", m.start(kind))
-        tokens.append((kind, value, m.start(kind)))
-        pos = m.end()
-    return tokens
+_TOKEN = re.compile(r"\(|\)|[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+(?:/[0-9]+)?|\S")
+_KIND = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "atom"),
+         **dict.fromkeys("-0123456789", "number"), "(": "open", ")": "close"}
 
 
-def _found(kind: str, value: str) -> str:
-    return repr(value) if kind != "eof" else "end of input"
+def _error(message: str, text: str, i: int) -> ParseError:
+    """A parse error at the i-th token of ``text``, or at its end past the last."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return ParseError(message, (starts + [len(text)])[i])
+
+
+def _found(value: str) -> str:
+    return repr(value) if value else "end of input"
 
 
 def parse_term(text: str) -> Term:
     """Parse the s-expression term grammar; exact rationals throughout.
 
     One loop over the tokens keeps a stack of the forms still open: ``(None,
-    operands)`` for an ``(or``, ``(p, operands)`` for a ``(mix p``.
+    None, operands)`` for an ``(or``, ``(make, p, operands)`` for a ``(mix
+    p``: ``make`` is ``Mix._trusted``, or for a ``p`` outside (0,1) the
+    public :class:`Mix`, which raises where the mix closes.
     """
-    tokens = _tokenize(text)
-    tokens.append(("eof", "", len(text)))
-    frames: List[Tuple[Optional[Fraction], List[Term]]] = []
-    i = 0
+    values = _TOKEN.findall(text)
+    kinds = [_KIND.get(v[0], "bad") if v != "-" else "bad" for v in values]
+    if "bad" in kinds:
+        i = kinds.index("bad")
+        raise _error(f"unexpected character {values[i]!r}", text, i)
+    kinds.append("eof")
+    values.append("")
+    frames: List[Tuple[Optional[Callable], Optional[Fraction], List[Term]]] = []
+    i = -1
     while True:
-        kind, value, pos = tokens[i]
         i += 1
-        if frames and frames[-1][0] is None and kind in ("close", "eof"):
-            if kind == "eof":
-                raise ParseError("unclosed '(or ...'", pos)
-            operands = frames.pop()[1]
-            if len(operands) < 2:
-                raise ParseError("'or' needs at least two operands", pos)
-            t = fold_or(operands)
-        elif kind == "atom":
-            t = Leaf(value)
-        elif kind != "open":
-            raise ParseError(f"expected a term, found {_found(kind, value)}", pos)
-        else:
-            kind, value, pos = tokens[i]
+        kind = kinds[i]
+        if kind == "atom":
+            t = Leaf(values[i])
+        elif kind == "open":
             i += 1
-            if kind == "atom" and value == "or":
-                frames.append((None, []))
+            if values[i] == "or":
+                frames.append((None, None, []))
                 continue
-            if kind != "atom" or value != "mix":
-                raise ParseError(f"expected 'or' or 'mix' after '(', found {_found(kind, value)}", pos)
-            kind, value, pos = tokens[i]
+            if values[i] != "mix":
+                raise _error(f"expected 'or' or 'mix' after '(', found {_found(values[i])}", text, i)
             i += 1
-            if kind != "number":
-                raise ParseError(f"expected a rational after 'mix', found {_found(kind, value)}", pos)
+            if kinds[i] != "number":
+                raise _error(f"expected a rational after 'mix', found {_found(values[i])}", text, i)
+            num, _, den = values[i].partition("/")
             try:
-                frames.append((Fraction(value), []))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {value!r}", pos) from None
+                num, den = int(num), int(den or 1)
             except ValueError:  # more digits than int() converts
-                raise ParseError("too many digits in a rational", pos) from None
+                raise _error("too many digits in a rational", text, i) from None
+            if not den:
+                raise _error(f"zero denominator in {values[i]!r}", text, i)
+            frames.append((Mix._trusted if 0 < num < den else Mix, Fraction(num, den), []))
             continue
+        elif kind in ("close", "eof") and frames and frames[-1][0] is None:
+            if kind == "eof":
+                raise _error("unclosed '(or ...'", text, i)
+            operands = frames.pop()[2]
+            if len(operands) < 2:
+                raise _error("'or' needs at least two operands", text, i)
+            t = fold_or(operands)
+        else:
+            raise _error(f"expected a term, found {_found(values[i])}", text, i)
         # t is complete: it closes every mix it is the right operand of.
-        while frames and frames[-1][0] is not None and frames[-1][1]:
-            p, (left,) = frames.pop()
-            kind, value, pos = tokens[i]
+        while frames and frames[-1][0] is not None and frames[-1][2]:
+            make, p, (left,) = frames.pop()
             i += 1
-            if kind != "close":
-                raise ParseError(f"expected ')' closing 'mix', found {_found(kind, value)}", pos)
-            t = Mix(p, left, t)
+            if kinds[i] != "close":
+                raise _error(f"expected ')' closing 'mix', found {_found(values[i])}", text, i)
+            t = make(p, left, t)
         if not frames:
-            kind, value, pos = tokens[i]
-            if kind != "eof":
-                raise ParseError(f"unexpected trailing input {value!r}", pos)
+            if kinds[i + 1] != "eof":
+                raise _error(f"unexpected trailing input {values[i + 1]!r}", text, i + 1)
             return t
-        frames[-1][1].append(t)
+        frames[-1][2].append(t)
 
 
 def _emit(t: Term, leaf: Callable, or_: str, mix: Callable, sep: str) -> str:

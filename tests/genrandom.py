@@ -140,6 +140,32 @@ def fuzzed_text():
     )
 
 
+TEXT_TOKENS = ("\u00e9", "-", "12ab", "-0/5", "007/9", "5/5", "x1", "_", "/", "1/" + "1" * (sys.get_int_max_str_digits() + 1))
+SPACES = ("", " ", " ", " ", "  ", "\t", "\n", "\u00a0")
+
+
+def token_text(rng: Random) -> str:
+    """One random text for the parser: a random term whole, with one token
+    replaced by a random one, cut off with a few random tokens after it, or
+    a random token string. Tokens are joined by random whitespace, and in
+    all but whole terms by none at times too. The random tokens are
+    :data:`FUZZ_TOKENS` and :data:`TEXT_TOKENS`: characters outside the
+    grammar, a lone ``-``, digits run into letters, a negative zero, leading
+    zeros, a probability of 1 and a rational past ``int()``'s digit limit.
+    """
+    pool = FUZZ_TOKENS + TEXT_TOKENS
+    tokens = print_term(term(rng, 4, leaf_bias=20)).replace("(", "( ").replace(")", " )").split()
+    shape = rng.randint(0, 3)
+    if shape == 1:
+        tokens[rng.randrange(len(tokens))] = rng.choice(pool)
+    elif shape == 2:
+        tokens = tokens[:rng.randint(0, len(tokens))] + [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+    elif shape == 3:
+        tokens = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+    spaces = SPACES[1:] if shape == 0 else SPACES
+    return "".join(rng.choice(spaces) + tok for tok in tokens) + rng.choice(spaces)
+
+
 FUZZ_KEYS = ("base", "generators", "atom", "weight")
 FUZZ_ATOMS = ("x", "y", "z", "9bad", "", "x y")
 FUZZ_WEIGHTS = ("1/1", "1/2", "2/3", "0/1", "-1/2", "3/2", "1/0", "1", "01/02", "0.5", "1 /2",

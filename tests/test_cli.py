@@ -201,6 +201,21 @@ def test_a_failed_certificate_check_exits_3_without_traceback(capsys, monkeypatc
         assert err.startswith("error: ArithmeticError: LP ") and err.count("\n") == 1
 
 
+# Their products have more digits than int-to-str converts (4300 by default).
+N, D, E = "1" + "0" * 2999, "9" * 3000 + "7", "9" * 3000 + "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", f"(mix {N}/{D} (mix {N}/{D} a b) c)"),
+    ("canon", f"(mix {N}/{D} a (mix {N}/{E} b c))"),
+], ids=["eval", "canon"])
+def test_an_output_past_the_digit_limit_exits_3_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+
 @given(st.sampled_from(["eq", "normalize", "canon", "eval"]), fuzzed_text(), fuzzed_text())
 def test_fuzzed_arguments_exit_with_a_documented_code(command, text1, text2):
     argv = [command, text1, text2] if command == "eq" else [command, text1]

@@ -174,3 +174,15 @@ def test_deep_or_chains_hold_at_most_two_points(monkeypatch, atoms, want):
     monkeypatch.undo()
     assert got == want
     assert len(sizes) == 3 * sys.getrecursionlimit() and max(sizes) == len(atoms)
+
+
+def test_iota_reads_no_leaf_set_through_len(monkeypatch):
+    # Truth-testing a leaf's set would call ConvexSet.__len__, which reads
+    # its base; iota looks each atom's set up by key instead.
+    def no_len(s):
+        raise AssertionError("len() of a ConvexSet")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ConvexSet, "__len__", no_len)
+        got = iota(parse_term("(or (mix 1/2 x y) (or x (mix 1/3 y x)))"))
+    assert got == eager_evaluate(parse_term("(or (mix 1/2 x y) (or x (mix 1/3 y x)))"), c_unit)

@@ -39,7 +39,7 @@ from csl import (
     substitute,
 )
 
-from csl.terms import NPForm, np_summands
+from csl.terms import NPForm, _from_rows, fold, np_summands
 from genrandom import convex, dist, fuzzed_text, weights
 
 F = Fraction
@@ -75,11 +75,38 @@ def test_mix_rejects_degenerate_probability():
         Mix(F(1), X, Y)
     with pytest.raises(InvalidProbability):
         Mix(F(3, 2), X, Y)
+    with pytest.raises(InvalidProbability):  # unpickling builds through the checking constructor
+        _from_rows(((Leaf, "x"), (Leaf, "y"), (Mix, F(3, 2), 0, 1)))
 
 
 def test_mix_rejects_floats():
     with pytest.raises(TypeError):
         Mix(0.5, X, Y)
+
+
+def rebuilt(t):
+    """``t`` built again through the public constructors, which check every p."""
+    return fold(t, lambda n: Leaf(n.atom), Or, Mix)
+
+
+def checked_mixes(t):
+    """Every mix of ``t`` holds a Fraction strictly between 0 and 1."""
+    return fold(t, lambda n: True, lambda l, r: l and r,
+                lambda p, l, r: type(p) is Fraction and 0 < p < 1 and l and r)
+
+
+@given(terms_st, terms_st)
+def test_nodes_built_without_checks_equal_public_ones(t, u):
+    # The parser, rewrite_np, kappa_p and substitute build mixes without
+    # checking p again; what they build must be what the public constructor
+    # would have built.
+    np = rewrite_np(t)
+    built = [parse_term(print_term(t)), *np.summands, *(kappa_p(iota_p(s)) for s in np), substitute(t, {"x": u})]
+    for b in built:
+        assert checked_mixes(b)
+        assert b == rebuilt(b) and hash(b) == hash(rebuilt(b))
+        assert pickle.loads(pickle.dumps(b)) == b
+    assert np == NPForm(np.summands) and pickle.loads(pickle.dumps(np)) == np
 
 
 # --- parsing ----------------------------------------------------------------------
@@ -109,6 +136,8 @@ def test_parse_nary_or_sugar():
 
 def test_parse_unreduced_probability_reduces():
     assert parse_term("(mix 2/4 x y)") == Mix(HALF, X, Y)
+    p = parse_term("(mix 2/4 x y)").p
+    assert type(p) is Fraction and (p.numerator, p.denominator) == (1, 2)
 
 
 def test_parse_whitespace_insensitive():
@@ -140,6 +169,9 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_term("(mix 1/0 x y)")
     assert err.value.position == 5
+    with pytest.raises(ParseError) as err:  # not InvalidProbability: p is checked where the mix closes
+        parse_term("(mix 3/2 a")
+    assert err.value.position == 10
 
 
 @pytest.mark.parametrize("text, position", [
