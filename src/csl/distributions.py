@@ -64,9 +64,8 @@ class Dist:
                 acc[atom] = w
         den = lcm(*(w.denominator for w in acc.values()))
         ints = {a: w.numerator * (den // w.denominator) for a, w in acc.items()}
-        total = sum(ints.values())
-        if total != den:
-            raise NotADistribution(f"weights sum to {Fraction(total, den)}, expected exactly 1")
+        if sum(ints.values()) != den:
+            raise NotADistribution("weights do not sum to exactly 1")
         self._store(den, ints)
 
     def _store(self, den: int, ints: Dict[Atom, int]) -> "Dist":
@@ -163,7 +162,7 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
         raise NotAWeightVector(f"negative weight {negative[0]}")
     q = lcm(*(w.denominator for w in ws))
     if sum(w.numerator * (q // w.denominator) for w in ws) != q:
-        raise NotAWeightVector(f"weights sum to {sum(ws, ZERO)}, expected exactly 1")
+        raise NotAWeightVector("weights do not sum to exactly 1")
     # Weight p/r on a dist over D scales its integers by p over r*D.
     den = lcm(*(w.denominator * d.den for w, d in zip(ws, ds)))
     acc: dict = {}

@@ -15,9 +15,12 @@ extracting at every node.
 Normalization (:func:`rewrite_np`) distributes every mix over the choices
 beneath it, producing the n-p form: a choice among purely probabilistic
 terms, ordered by their distributions. It builds the summands bottom-up in
-one pass; :func:`rewrite_step`, one innermost-leftmost distribution step,
-stays as its specification. It is the only recursive walk: the others are
-loops or one :func:`fold`, so nesting depth is bounded by memory alone.
+one pass, each distribution a list of integers over the term's sorted atoms
+and one denominator per node, and sorts them with a 0 read as that
+denominator plus 1, which is ``Dist``'s order; :func:`rewrite_step`, one
+innermost-leftmost distribution step, stays as its specification. It is the
+only recursive walk: the others are loops or one :func:`fold`, so nesting
+depth is bounded by memory alone.
 Syntactic identity serves users and tests, not decisions: one table that
 numbers subterms by content carries ``==``, ``hash`` and pickling, and one
 loop emits both ``repr`` and the text form. Each check on a node runs once:
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .convexsets import ConvexSet, c_unit, convex_union, mix_sets
@@ -123,11 +128,13 @@ class Mix(_Node):
     def _trusted(cls, p: Fraction, left: "Term", right: "Term") -> "Mix":
         """The mix at a Fraction ``p`` already known to lie in (0,1), unchecked."""
         m = object.__new__(cls)
-        object.__setattr__(m, "p", p)
-        object.__setattr__(m, "left", left)
-        object.__setattr__(m, "right", right)
+        _set_p(m, p)
+        _set_left(m, left)
+        _set_right(m, right)
         return m
 
+
+_set_p, _set_left, _set_right = Mix.p.__set__, Mix.left.__set__, Mix.right.__set__  # the slots, past _immutable
 
 Term = Union[Leaf, Or, Mix]
 
@@ -303,24 +310,53 @@ def rewrite_np(t: Term) -> NPForm:
 
     :func:`rewrite_step` is the specification: the summands are those its
     innermost-leftmost rewriting reaches, in the same order, then stably
-    sorted by their distributions. Each node yields its summands paired
-    with their distributions. A leaf is its own summand; a choice
-    concatenates its children's lists; a mix takes their row-major product,
-    which is the order the left rule then the right rule leave. So every
-    summand's distribution is computed once, from its parts.
+    sorted by their distributions. Each node yields one denominator D and
+    its summands, each paired with its distribution as a list of integers
+    over the term's sorted atoms, over D; no :class:`Dist` is built. A leaf
+    is its own summand, over 1; a choice concatenates its children's lists
+    over the lcm L of their D, rescaling a side whose D differs; a p-mix
+    scales each side's vectors once to ``p.denominator * L`` and takes
+    their row-major product, which is the order the left rule then the
+    right rule leave, each pair one elementwise sum. The sort key reads
+    each 0 as D + 1, above any weight: at the first atom where two
+    summands differ, one without that atom sorts after one with it, as in
+    ``Dist``'s order.
     """
-    summands = fold(
-        t,
-        lambda n: [(n, d_unit(n.atom))],
-        lambda left, right: left + right,  # a new list: a memoised child may be shared
-        lambda p, left, right: [
-            (Mix._trusted(p, a, b), mix2(p, da, db)) for a, da in left for b, db in right
-        ],
-    )
-    summands.sort(key=lambda sd: sd[1])
+    atoms, seen, stack = set(), set(), [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            atoms.add(node.atom)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += (node.left, node.right)
+    k = len(atoms)
+    unit = {a: [0] * i + [1] + [0] * (k - i - 1) for i, a in enumerate(sorted(atoms))}
+
+    def choice(left, right):
+        (da, a), (db, b) = left, right
+        d = lcm(da, db)
+        return d, _scaled(a, d // da) + _scaled(b, d // db)  # a new list: a memoised child may be shared
+
+    def mix(p, left, right):
+        (da, a), (db, b) = left, right
+        d = lcm(da, db)
+        a = _scaled(a, p.numerator * (d // da))
+        b = _scaled(b, (p.denominator - p.numerator) * (d // db))
+        return p.denominator * d, [(Mix._trusted(p, s, u), list(map(add, v, w))) for s, v in a for u, w in b]
+
+    d, summands = fold(t, lambda n: (1, [(n, unit[n.atom])]), choice, mix)
+    absent = d + 1
+    summands.sort(key=lambda sv: [x or absent for x in sv[1]])
     np = object.__new__(NPForm)  # summands of leaves and mixes alone: no is_pterm walk
     object.__setattr__(np, "summands", tuple([s for s, _ in summands]))  # from a list: see convexsets.ConvexSet
     return np
+
+
+def _scaled(summands: list, k: int) -> list:
+    """The (summand, vector) pairs with every vector times ``k``, or as given
+    for 1. Lists, not tuples: tuples built by ``map`` fill the per-size free lists."""
+    return summands if k == 1 else [(s, list(map(k.__mul__, v))) for s, v in summands]
 
 
 # --- interpretation ---------------------------------------------------------
@@ -376,9 +412,8 @@ def binary_chain(weights: List[Rational]) -> List[Rational]:
         raise NotAWeightVector("weight vector must be non-empty")
     if any(w <= 0 for w in ws):
         raise NotAWeightVector("weights must be strictly positive")
-    total = sum(ws)
-    if total != ONE:
-        raise NotAWeightVector(f"weights sum to {total}, expected exactly 1")
+    if sum(ws) != ONE:
+        raise NotAWeightVector("weights do not sum to exactly 1")
     ps = []
     partial = Fraction(0)
     for k in range(len(ws) - 1):

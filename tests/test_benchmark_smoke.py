@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["eq-random", "sets-base"])
+@pytest.mark.parametrize("workload", ["eq-random", "normalize-wide", "sets-base"])
 def test_one_round_of_the_workload_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),

@@ -323,6 +323,20 @@ def test_base_bad_number_exits_2(capsys, monkeypatch, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_base_weights_whose_sum_is_past_the_digit_limit_exit_2(capsys, monkeypatch):
+    # The sum 1/(10**3001 - 3) + 1/(10**3000 - 9) has more digits than
+    # int-to-str converts: the message must not print it.
+    doc = json.dumps({"generators": [[
+        {"atom": "x", "weight": "1/" + "9" * 3000 + "7"},
+        {"atom": "y", "weight": "1/" + "9" * 2999 + "1"},
+    ]]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "base")
+    assert code == 2
+    assert out == ""
+    assert err == "error: weights do not sum to exactly 1\n"
+
+
 def test_base_file_not_utf8_exits_2(capsys, tmp_path):
     path = tmp_path / "gens.json"
     path.write_bytes(b'{"generators":[[{"atom":"\xff","weight":"1/1"}]]}')

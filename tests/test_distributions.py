@@ -80,6 +80,15 @@ def test_bad_total_rejected():
         dist_make([("x", HALF), ("y", F(1, 3))])
 
 
+def test_a_bad_total_past_the_digit_limit_is_rejected_without_printing_it():
+    # The sum of these weights has more digits than int-to-str converts.
+    ws = [F(1, 10**3001 - 3), F(1, 10**3000 - 9)]
+    with pytest.raises(NotADistribution, match="do not sum to exactly 1"):
+        dist_make(list(zip("xy", ws)))
+    with pytest.raises(NotAWeightVector, match="do not sum to exactly 1"):
+        convex_combine(ws, [d_unit("x"), d_unit("y")])
+
+
 def test_negative_weight_rejected():
     with pytest.raises(NotADistribution):
         dist_make([("x", F(3, 2)), ("y", F(-1, 2))])

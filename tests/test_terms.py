@@ -40,7 +40,7 @@ from csl import (
 )
 
 from csl.terms import NPForm, _from_rows, fold, np_summands
-from genrandom import convex, dist, fuzzed_text, weights
+from genrandom import convex, dist, fuzzed_text, term, weights
 
 F = Fraction
 HALF = F(1, 2)
@@ -344,15 +344,42 @@ def test_rewrite_np_matches_step_by_step_rewriting(t):
     assert list(rewrite_np(t).summands) == _reference_np(t)
 
 
-@pytest.mark.parametrize("text", [
+SHARED = Mix(HALF, X, Or(Y, Z))  # over 2, rescaled by 5 in the mix below and by 15 in the choice
+
+
+@pytest.mark.parametrize("t", [parse_term(text) for text in (
     "(or (mix 1/2 x y) (mix 1/2 x y))",
     "(mix 1/3 (or x x) y)",
     "(or (mix 1/2 x y) (mix 1/2 y x))",
     "(mix 1/2 (or x y) (or x y))",
-])
-def test_rewrite_np_keeps_tied_summands_in_rewriting_order(text):
-    t = parse_term(text)
+    # At the first atom where they differ, one summand lacks it and sorts last,
+    # also where the other's weight there is the whole denominator.
+    "(or y (mix 1/2 x y))",
+    "(mix 1/2 (or x z) (or y z))",
+    "(or (mix 1/2 y z) x)",
+    # The choice's sides are over different denominators.
+    "(or (mix 1/3 x y) (mix 1/2 x y))",
+)] + [Or(SHARED, Mix(THIRD, SHARED, Mix(F(1, 5), Or(X, Z), Y)))], ids=print_term)
+def test_rewrite_np_keeps_tied_summands_in_rewriting_order(t):
     assert list(rewrite_np(t).summands) == _reference_np(t)
+
+
+def np_size(t):
+    """The number of n-p summands, in closed form."""
+    return fold(t, lambda n: 1, lambda a, b: a + b, lambda p, a, b: a * b)
+
+
+def test_rewrite_np_matches_step_by_step_rewriting_on_a_seeded_stream():
+    # String order of these atoms differs from their length order.
+    rng = Random(2000)
+    checked = 0
+    while checked < 2000:
+        t = term(rng, 8, ("a0", "a10", "a2", "b_1"))
+        if np_size(t) > 64:  # unbounded, a depth-8 draw can take gigabytes to rewrite
+            continue
+        t = parse_term(print_term(t))
+        assert list(rewrite_np(t).summands) == _reference_np(t), print_term(t)
+        checked += 1
 
 
 def test_rewrite_np_tied_distributions_stay_in_row_major_order():
@@ -631,11 +658,20 @@ def test_deep_iota_p_and_canon():
     assert print_term(canon(t)) == f"(mix {w.numerator}/{w.denominator} a b)"
 
 
-@pytest.mark.parametrize("walk", [rewrite_np, iota], ids=["rewrite_np", "iota"])
-def test_deep_folds_hold_only_the_results_still_awaited(walk):
+# Idempotent, but rewrite_np does not reduce: its denominator grows as 3**DEPTH.
+IDEMPOTENT_TOWER = "(mix 1/3 " * DEPTH + "(or a c)" + " a)" * DEPTH
+
+
+@pytest.mark.parametrize("walk, text", [
+    (rewrite_np, deep_chain("(or a c)")),
+    (iota, deep_chain("(or a c)")),
+    (rewrite_np, IDEMPOTENT_TOWER),
+    (iota, IDEMPOTENT_TOWER),
+], ids=["rewrite_np", "iota", "rewrite_np-idempotent-tower", "iota-idempotent-tower"])
+def test_deep_folds_hold_only_the_results_still_awaited(walk, text):
     # Each level's distribution is about DEPTH bits wide; keeping every
     # level's result until the walk ends took several MB.
-    t = parse_term(deep_chain("(or a c)"))
+    t = parse_term(text)
     tracemalloc.start()
     try:
         walk(t)
