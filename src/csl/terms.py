@@ -15,9 +15,9 @@ extracting at every node.
 Normalization (:func:`rewrite_np`) distributes every mix over the choices
 beneath it, producing the n-p form: a choice among purely probabilistic
 terms, ordered by their distributions. It builds the summands bottom-up in
-one pass, each distribution a list of integers over the term's sorted atoms
-and one denominator per node, and sorts them with a 0 read as that
-denominator plus 1, which is ``Dist``'s order; :func:`rewrite_step`, one
+one pass, each distribution a dict of integer weights over its support and
+one denominator per node, and sorts them by their sorted (atom, weight)
+pairs, which is ``Dist``'s order; :func:`rewrite_step`, one
 innermost-leftmost distribution step, stays as its specification. It is the
 only recursive walk: the others are loops or one :func:`fold`, so nesting
 depth is bounded by memory alone.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .convexsets import ConvexSet, c_unit, convex_union, mix_sets
@@ -311,27 +310,18 @@ def rewrite_np(t: Term) -> NPForm:
     :func:`rewrite_step` is the specification: the summands are those its
     innermost-leftmost rewriting reaches, in the same order, then stably
     sorted by their distributions. Each node yields one denominator D and
-    its summands, each paired with its distribution as a list of integers
-    over the term's sorted atoms, over D; no :class:`Dist` is built. A leaf
-    is its own summand, over 1; a choice concatenates its children's lists
+    its summands, each paired with its distribution as a dict from the
+    atoms of its support to integer weights over D; no :class:`Dist` is
+    built, and a summand holds one entry per atom it contains. A leaf is
+    its own summand, over 1; a choice concatenates its children's lists
     over the lcm L of their D, rescaling a side whose D differs; a p-mix
-    scales each side's vectors once to ``p.denominator * L`` and takes
+    scales each side's weights once to ``p.denominator * L`` and takes
     their row-major product, which is the order the left rule then the
-    right rule leave, each pair one elementwise sum. The sort key reads
-    each 0 as D + 1, above any weight: at the first atom where two
-    summands differ, one without that atom sorts after one with it, as in
-    ``Dist``'s order.
+    right rule leave, each pair one atom-wise sum. The sort key is a
+    summand's (atom, weight) pairs sorted by atom: ``Dist``'s order, as
+    every weight is over the root's D and two distinct keys both summing
+    to D differ before either ends.
     """
-    atoms, seen, stack = set(), set(), [t]
-    while stack:
-        node = stack.pop()
-        if type(node) is Leaf:
-            atoms.add(node.atom)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack += (node.left, node.right)
-    k = len(atoms)
-    unit = {a: [0] * i + [1] + [0] * (k - i - 1) for i, a in enumerate(sorted(atoms))}
 
     def choice(left, right):
         (da, a), (db, b) = left, right
@@ -343,20 +333,29 @@ def rewrite_np(t: Term) -> NPForm:
         d = lcm(da, db)
         a = _scaled(a, p.numerator * (d // da))
         b = _scaled(b, (p.denominator - p.numerator) * (d // db))
-        return p.denominator * d, [(Mix._trusted(p, s, u), list(map(add, v, w))) for s, v in a for u, w in b]
+        return p.denominator * d, [(Mix._trusted(p, s, u), _summed(v, w)) for s, v in a for u, w in b]
 
-    d, summands = fold(t, lambda n: (1, [(n, unit[n.atom])]), choice, mix)
-    absent = d + 1
-    summands.sort(key=lambda sv: [x or absent for x in sv[1]])
+    summands = fold(t, lambda n: (1, [(n, {n.atom: 1})]), choice, mix)[1]
+    summands.sort(key=lambda sv: sorted(sv[1].items()))
     np = object.__new__(NPForm)  # summands of leaves and mixes alone: no is_pterm walk
     object.__setattr__(np, "summands", tuple([s for s, _ in summands]))  # from a list: see convexsets.ConvexSet
     return np
 
 
 def _scaled(summands: list, k: int) -> list:
-    """The (summand, vector) pairs with every vector times ``k``, or as given
-    for 1. Lists, not tuples: tuples built by ``map`` fill the per-size free lists."""
-    return summands if k == 1 else [(s, list(map(k.__mul__, v))) for s, v in summands]
+    """The (summand, weights) pairs with every weight times ``k``, or as given for 1."""
+    return summands if k == 1 else [(s, {a: k * n for a, n in v.items()}) for s, v in summands]
+
+
+def _summed(v: dict, w: dict) -> dict:
+    """The atom-wise sum of two weight dicts: a copy of the larger with the
+    smaller added in, so a leaf mixed with a wide summand adds one entry."""
+    if len(v) < len(w):
+        v, w = w, v
+    m = v.copy()
+    for a, n in w.items():
+        m[a] = m[a] + n if a in m else n
+    return m
 
 
 # --- interpretation ---------------------------------------------------------

@@ -681,6 +681,28 @@ def test_deep_folds_hold_only_the_results_still_awaited(walk, text):
     assert peak < 2_000_000
 
 
+WIDE_ATOMS = [f"a{i}" for i in range(3000)]
+WIDE_CHOICE = "(or " + " ".join(WIDE_ATOMS) + ")"
+
+
+@pytest.mark.parametrize("text, summand", [
+    (WIDE_CHOICE, "{}"),
+    (f"(mix 1/2 {WIDE_CHOICE} b)", "(mix 1/2 {} b)"),
+], ids=["choice", "mix-over-choice"])
+def test_rewrite_np_holds_each_summand_over_its_own_atoms(text, summand):
+    # One weight per atom of each summand peaks near 1.3 and 2.1 MB; weights
+    # dense over all 3000 atoms of the term would take about 150 and 230 MB.
+    t = parse_term(text)
+    tracemalloc.start()
+    try:
+        summands = rewrite_np(t).summands
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert [print_term(s) for s in summands] == [summand.format(a) for a in sorted(WIDE_ATOMS)]
+
+
 def test_deep_substitute():
     t = parse_term(deep_chain())
     assert print_term(substitute(t, {"a": Leaf("c")})) == deep_chain("c")
