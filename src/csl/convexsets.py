@@ -36,7 +36,7 @@ from .distributions import (
 )
 from .errors import DecodeError, InvalidProbability
 # hull_coefficients is also read from here, by perfbench's checks.
-from .feasibility import PartialBase, columns, hull_coefficients, simplex
+from .feasibility import PartialBase, atom_zeros, columns, hull_coefficients, simplex
 
 
 def _bound_separation(b: List[int], den: int, cols: List[List[int]], dens: List[int]) -> Optional[List[int]]:
@@ -94,12 +94,11 @@ def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
     return simplex(gen_cols, b)[0] is not None
 
 
-def _separation(base: PartialBase, dens: List[int], b: List[int], den: int) -> Optional[List[int]]:
+def _separation(base: PartialBase, b: List[int], den: int) -> Optional[List[int]]:
     """A functional separating the column ``b`` (denominator ``den``) from
-    the hull of the columns of ``base`` (denominators ``dens``), or None
-    when ``b`` lies inside: by the per-atom bounds, then by the basis's
-    verified answer."""
-    return _bound_separation(b, den, base.cols, dens) or base.separation(b)
+    the hull of the columns of ``base``, or None when ``b`` lies inside: by
+    the per-atom bounds, then by the basis's verified answer."""
+    return _bound_separation(b, den, base.cols, base.dens) or base.separation(b)
 
 
 def _lex_above(q: List[int], qden: int, r: List[int], rden: int) -> bool:
@@ -129,8 +128,10 @@ def _farthest(cols: List[List[int]], dens: List[int], pending: List[int], y: Lis
     return best
 
 
-def _extract_base(dists: List[Dist]) -> List[Dist]:
-    """The extreme points of ``dists``, in their given order.
+def _extract_base(dists: List[Dist]) -> Tuple[List[Dist], Optional[PartialBase]]:
+    """The extreme points of ``dists``, in their given order, and the
+    :class:`PartialBase` of their columns that the extraction ended with
+    (None for two or fewer points, which need no test).
 
     ``dists`` must be deduplicated. This is Clarkson's output-sensitive
     loop over a partial base E, which keeps an invariant: E holds only
@@ -153,32 +154,31 @@ def _extract_base(dists: List[Dist]) -> List[Dist]:
     point with the largest ``y·q`` (ties to the lexicographic maximum) is a
     vertex of that face, hence extreme; it joins E, and p is tested again.
     Each test drops a point or grows E, so at most ``len(dists) - 1`` tests
-    run, each over |E| columns.
+    run, each over |E| columns. Every point lies in the hull of E at the
+    end, so E has all the atoms of ``dists``: the rows of its columns.
     """
     if len(dists) <= 2:  # distinct points are the ends of their segment
-        return dists
-    cols = columns(dists)
+        return dists, None
+    base = PartialBase(atom_zeros(dists))
+    cols = columns(dists, base.zeros)
     dens = [d.den for d in dists]
     pending = list(range(len(dists)))
     extreme = [False] * len(dists)
-    base = PartialBase(len(cols[0]))
-    base_dens: List[int] = []
     # The lexicographic maximum has the largest weight on the least atom.
     y = [1] + [0] * (len(cols[0]) - 1)
     while True:
         i = _farthest(cols, dens, pending, y)
         pending.remove(i)
         extreme[i] = True
-        base.add(cols[i])
-        base_dens.append(dens[i])
+        base.add(cols[i], dens[i])
         while pending:
             p = pending[-1]
-            y = _separation(base, base_dens, cols[p], dens[p])
+            y = _separation(base, cols[p], dens[p])
             if y is not None:
                 break
             pending.pop()
         if not pending:
-            return [d for d, keep in zip(dists, extreme) if keep]
+            return [d for d, keep in zip(dists, extreme) if keep], base
 
 
 class ConvexSet:
@@ -194,12 +194,17 @@ class ConvexSet:
     distinct generators, and whether they are known to be its base, until
     ``base`` is first read, directly or by hashing, ordering, iteration,
     ``len``, ``repr`` or pickling. Then it extracts, by way of the
-    constructor, or only sorts points known to be the base. ``in`` tests
-    against the points the set holds, which generate the same hull. ``==``
+    constructor, or only sorts points known to be the base. ``==``
     with such a side reads the other side's base B and tests the
     generators against it, by the uniqueness of the base: equal exactly
     when every element of B is a generator and every other generator lies
     in the hull of B. Then B becomes the lazy side's base too.
+
+    A set whose constructor extracted keeps the basis of its base's columns
+    that the extraction ended with, and ``in`` answers from it, as the
+    extraction tested a point. Every other set (lazy, unpickled, or of two
+    or fewer generators) tests against the points it holds, which generate
+    the same hull (:func:`member_of_hull`).
 
     Lazy generators are a list, not a tuple: CPython sizes a tuple built
     from a generator by a guess and resizes it, then frees it onto the free
@@ -208,14 +213,14 @@ class ConvexSet:
     ``eq-random``.
     """
 
-    __slots__ = ("_points", "_extreme", "_base")
+    __slots__ = ("_points", "_extreme", "_base", "_hull")
 
     def __init__(self, generators: Iterable[Dist]):
         gens = sorted(set(generators))
         if not gens:
             raise ValueError("a convex set needs at least one generator")
-        self._base = tuple(_extract_base(gens))
-        self._points = self._base
+        base, self._hull = _extract_base(gens)
+        self._base = self._points = tuple(base)
         self._extreme = True
 
     @classmethod
@@ -225,7 +230,7 @@ class ConvexSet:
         s = cls.__new__(cls)
         s._points = points
         s._extreme = extreme or len(points) <= 2
-        s._base = None
+        s._base = s._hull = None
         return s
 
     @property
@@ -246,7 +251,15 @@ class ConvexSet:
         return len(self.base)
 
     def __contains__(self, d) -> bool:
-        return isinstance(d, Dist) and member_of_hull(d, self._points)
+        if not isinstance(d, Dist):
+            return False
+        hull = self._hull
+        if hull is None:
+            return member_of_hull(d, self._points)
+        if d in self._base:
+            return True
+        # The rows of the basis are all the atoms of the hull.
+        return hull.zeros.keys() >= d.nums.keys() and _separation(hull, columns([d], hull.zeros)[0], d.den) is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
@@ -272,12 +285,11 @@ class ConvexSet:
             return False
         rest = [p for p in self._points if p not in extreme]
         if rest:
-            cols = columns([*base, *rest])
-            hull = PartialBase(len(cols[0]))
-            for c in cols[:len(base)]:
-                hull.add(c)
-            dens = [d.den for d in base]
-            if any(_separation(hull, dens, c, p.den) for c, p in zip(cols[len(base):], rest)):
+            hull = PartialBase(atom_zeros(self._points))
+            cols = columns([*base, *rest], hull.zeros)
+            for c, d in zip(cols, base):
+                hull.add(c, d.den)
+            if any(_separation(hull, c, p.den) for c, p in zip(cols[len(base):], rest)):
                 return False
         self._base = self._points = base
         self._extreme = True

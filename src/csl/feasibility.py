@@ -16,15 +16,15 @@ whose coefficients are generator j's integers and whose right-hand side is
 column's integers sum to its D_j, the right-hand sides to D_d), so it is
 implied and no row is built for it; ``alpha_j = D_j beta_j / D_d``.
 
-Two solvers in ``csl._simplex_py`` answer it: the fraction-free simplex
-kernel, on the rows where the target or some column is nonzero
-(:func:`simplex`), for one-shot queries; and, for every test against the
-growing partial base of an extraction, a least-index criss-cross on one
-basis of its columns, which each test starts from where the last one left
-it (:class:`PartialBase`). No answer of either is used before
-:func:`verified`, the one check, accepts it with integer dot products.
-Coefficients must rebuild every atom of the target, which also gives the
-convexity condition. A Farkas vector y (one integer per atom) must have
+One solver in ``csl._simplex_py`` answers it: a least-index criss-cross
+on one fraction-free basis of the columns (:class:`PartialBase`). An
+extraction grows that basis point by point and starts each test from the
+basis the last one left; a set keeps the basis its extraction ended with
+and answers ``in`` from it; a one-shot query starts a fresh one
+(:func:`simplex`). No answer is used before :func:`verified`, the one
+check, accepts it with integer dot products. Coefficients must rebuild
+every atom of the target, which also gives the convexity condition. A
+Farkas vector y (one integer per atom) must have
 ``y·g <= 0 < y·d`` on the stored integers of every generator g and of d,
 which proves d outside the hull: every convex combination keeps
 ``y·x / D_x <= 0``. A failed check raises ``ArithmeticError``.
@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import _simplex_py as _kernel
 from .distributions import Dist
@@ -46,10 +46,16 @@ def kernel_name() -> str:
     return "python"
 
 
-def columns(points: Sequence[Dist]) -> List[List[int]]:
+def atom_zeros(points: Sequence[Dist]) -> Dict:
+    """The sorted union of the atoms of ``points``, each mapped to 0."""
+    return dict.fromkeys(sorted(set().union(*[p.nums for p in points])), 0)
+
+
+def columns(points: Sequence[Dist], zeros: Optional[Dict] = None) -> List[List[int]]:
     """Each point's column of the hull matrix: its stored integers over the
-    sorted union of the atoms of ``points``."""
-    zeros = dict.fromkeys(sorted(set().union(*[p.nums for p in points])), 0)
+    sorted atoms of ``zeros`` (:func:`atom_zeros`, by default of ``points``),
+    which must include every atom of ``points``."""
+    zeros = atom_zeros(points) if zeros is None else zeros
     # The union keeps the sorted order of ``zeros`` and takes p's integers.
     return [list((zeros | p.nums).values()) for p in points]
 
@@ -73,26 +79,28 @@ def verified(cols: Sequence[List[int]], b: List[int], x, y):
 
 
 def simplex(cols: Sequence[List[int]], b: List[int]):
-    """The simplex kernel's verified answer for ``b`` over ``cols``, solved
-    on the rows where ``b`` or some column is nonzero; the Farkas vector, if
-    any, is 0 on the other rows."""
-    rows = list(zip(*cols, b))
-    active = [k for k, row in enumerate(rows) if any(row)]
-    x, y = _kernel.hull_witness([rows[k] for k in active], len(cols))
-    if y is not None:
-        full = [0] * len(b)
-        for k, a in zip(active, y):
-            full[k] = a
-        y = full
-    return verified(cols, b, x, y)
+    """The verified one-shot answer for ``b`` over ``cols``, from a fresh
+    basis of all of them (:func:`csl._simplex_py.hull_witness`)."""
+    return verified(cols, b, *_kernel.hull_witness(list(zip(*cols, b)), len(cols)))
 
 
 class PartialBase(_kernel.Basis):
-    """The columns ``cols`` of a growing point set E, each of length m, and
-    the test of a column against the hull of E: the answer of its
+    """The columns ``cols`` of a growing point set E over the sorted atoms
+    of ``zeros`` (:func:`atom_zeros`), their denominators ``dens``, and the
+    test of a column against the hull of E: the answer of its
     :class:`csl._simplex_py.Basis`, once :func:`verified` accepts it."""
 
-    __slots__ = ()
+    __slots__ = ("zeros", "dens")
+
+    def __init__(self, zeros: Dict):
+        super().__init__(len(zeros))
+        self.zeros = zeros
+        self.dens: List[int] = []
+
+    def add(self, c: List[int], den: int) -> None:
+        """Append the column c, of a point with denominator ``den``, to E."""
+        super().add(c)
+        self.dens.append(den)
 
     def separation(self, b: List[int]) -> Optional[List[int]]:
         """None when ``b`` is in the hull of E; otherwise a verified Farkas

@@ -145,10 +145,11 @@ def fold(t: Term, leaf: Callable, or_: Callable, mix: Callable,
 
     A post-order walk with an explicit stack. Results are memoised by node
     identity, so a subterm object that occurs twice is folded once; when
-    ``shared`` is given, such a result is replaced by ``shared(result)``
-    before any parent reads it. A first walk counts the reads of each
-    node's result, one per parent, so a result is dropped once its last
-    parent has read it and only the results still awaited are held.
+    ``shared`` is given, every parent but the last reads such a result as
+    ``shared(result)``, and the last reads the result itself. A first walk
+    counts the reads of each node's result, one per parent, so a result is
+    dropped once its last parent has read it and only the results still
+    awaited are held.
     """
     uses = {id(t): 1}  # node -> reads of its result still to come (the root's: 1)
     stack = [t]
@@ -170,10 +171,10 @@ def fold(t: Term, leaf: Callable, or_: Callable, mix: Callable,
             (node,) = node
             k = id(node.left)
             uses[k] -= 1
-            left = done[k] if uses[k] else done.pop(k)
+            left = (done[k] if shared is None else shared(done[k])) if uses[k] else done.pop(k)
             k = id(node.right)
             uses[k] -= 1
-            right = done[k] if uses[k] else done.pop(k)
+            right = (done[k] if shared is None else shared(done[k])) if uses[k] else done.pop(k)
             value = or_(left, right) if type(node) is Or else mix(node.p, left, right)
         elif id(node) in done:
             continue
@@ -182,7 +183,7 @@ def fold(t: Term, leaf: Callable, or_: Callable, mix: Callable,
         else:
             stack += ((node,), node.right, node.left)
             continue
-        done[id(node)] = shared(value) if shared is not None and uses[id(node)] > 1 else value
+        done[id(node)] = value
     return done[id(t)]
 
 
@@ -317,16 +318,25 @@ def rewrite_np(t: Term) -> NPForm:
     over the lcm L of their D, rescaling a side whose D differs; a p-mix
     scales each side's weights once to ``p.denominator * L`` and takes
     their row-major product, which is the order the left rule then the
-    right rule leave, each pair one atom-wise sum. The sort key is a
-    summand's (atom, weight) pairs sorted by atom: ``Dist``'s order, as
-    every weight is over the root's D and two distinct keys both summing
-    to D differ before either ends.
+    right rule leave, each pair one atom-wise sum. A choice grows the
+    longer side's list in place (a parent that shares a child with a later
+    one reads its list frozen to a tuple), so a choice chain does not copy
+    its spine at every level. The sort key is a summand's (atom, weight) pairs sorted by atom: ``Dist``'s
+    order, as every weight is over the root's D and two distinct keys both
+    summing to D differ before either ends.
     """
 
     def choice(left, right):
         (da, a), (db, b) = left, right
         d = lcm(da, db)
-        return d, _scaled(a, d // da) + _scaled(b, d // db)  # a new list: a memoised child may be shared
+        a, b = _scaled(a, d // da), _scaled(b, d // db)
+        if type(a) is list and (type(b) is not list or len(a) >= len(b)):
+            a += b
+            return d, a
+        if type(b) is list:
+            b[:0] = a
+            return d, b
+        return d, [*a, *b]
 
     def mix(p, left, right):
         (da, a), (db, b) = left, right
@@ -335,7 +345,7 @@ def rewrite_np(t: Term) -> NPForm:
         b = _scaled(b, (p.denominator - p.numerator) * (d // db))
         return p.denominator * d, [(Mix._trusted(p, s, u), _summed(v, w)) for s, v in a for u, w in b]
 
-    summands = fold(t, lambda n: (1, [(n, {n.atom: 1})]), choice, mix)[1]
+    summands = fold(t, lambda n: (1, [(n, {n.atom: 1})]), choice, mix, lambda r: (r[0], tuple(r[1])))[1]
     summands.sort(key=lambda sv: sorted(sv[1].items()))
     np = object.__new__(NPForm)  # summands of leaves and mixes alone: no is_pterm walk
     object.__setattr__(np, "summands", tuple([s for s, _ in summands]))  # from a list: see convexsets.ConvexSet
@@ -388,7 +398,8 @@ def evaluate(t: Term, valuation: Callable[[str], ConvexSet]) -> ConvexSet:
 
 
 def _extracted(s: ConvexSet) -> ConvexSet:
-    """``s``, its base extracted before the parents that share it read it."""
+    """``s``, its base extracted in place before the parents that share it
+    read it."""
     s.base
     return s
 

@@ -21,8 +21,10 @@ def pytest_runtest_call(item):
 @pytest.fixture
 def hull_answers(monkeypatch):
     """Every hull answer checked by ``feasibility.verified`` from now on, as
-    ``(path, columns)``: path "simplex" for an answer of the simplex kernel,
-    "basis" for one of an extraction's warm-started basis."""
+    ``(path, columns)``: path "simplex" for a one-shot answer of
+    ``hull_witness``, from a fresh basis of all the columns, and "basis" for
+    one of a basis kept across tests: an extraction's, warm-started by the
+    test before, or the one a set's extraction left, which answers ``in``."""
     answers = []
     solved = []
     kernel, check = feasibility._kernel.hull_witness, feasibility.verified

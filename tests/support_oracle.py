@@ -1,0 +1,30 @@
+"""Support functions of terms: an oracle for sets that builds no set.
+
+The support function of a convex set S in a direction y, one number per
+atom, is ``h_S(y) = max over x in S of y·x``. A term denotes a set built
+from Dirac points by choices and p-mixes, and h commutes with both: the
+hull of a union has the larger of the two maxima, and a p-mix of two sets
+the p-mix of their maxima. So :func:`h` is a fold over the term's syntax,
+``y[a]`` at a leaf ``a``, ``max`` at a choice, ``p*l + (1-p)*r`` at a mix,
+and reads no distribution, base or linear program. A finitely generated
+hull is the intersection of the half-spaces ``y·x <= h(y)``, so h pins the
+set down without any of the library's extraction or hull tests.
+"""
+
+from csl.terms import fold
+
+
+def h(t, y):
+    """The support function of the set of the term ``t`` in the direction
+    ``y``, a mapping from every atom of ``t`` to a number."""
+    return fold(t, lambda n: y[n.atom], max, lambda p, left, right: p * left + (1 - p) * right)
+
+
+def dot(y, d):
+    """``y·d`` for a distribution ``d``, exactly, from its entries."""
+    return sum(y[a] * w for a, w in d.entries)
+
+
+def h_points(points, y):
+    """The support function of the hull of ``points`` in the direction ``y``."""
+    return max(dot(y, x) for x in points)

@@ -4,6 +4,10 @@
 ``from_generators``, ``convexsets.hull_coefficients``) and checks every
 output independently, so a library change that breaks what it reads, or an
 answer its checks reject, fails here rather than only in a benchmark run.
+Each workload runs once untimed (``--trace 0``) and once traced
+(``--trace 1``): the tracer in ``perfbench/spans.py`` patches library
+functions by name (``hull_witness``, ``member_of_hull``, ``rewrite_step``
+and more), so a change that removes or renames one of them fails here too.
 """
 
 import json
@@ -14,13 +18,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ["eq-random", "normalize-wide", "sets-base"]
 
 
-@pytest.mark.parametrize("workload", ["eq-random", "normalize-wide", "sets-base"])
-def test_one_round_of_the_workload_is_correct(workload):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(workload, trace, id=workload + ("-traced" if trace else ""))
+    for trace in (0, 1) for workload in WORKLOADS
+])
+def test_one_round_of_the_workload_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", "1", "--seconds", "0"],
+         "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

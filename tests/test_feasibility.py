@@ -1,14 +1,16 @@
 import inspect
+import pickle
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 from random import Random
 
 import pytest
 
-from csl import (ConvexSet, Dist, _simplex_py, c_mult, convex_combine, convexsets, d_unit, dist_make, feasibility, iota,
-                 member_of_hull)
+from csl import (ConvexSet, Dist, _simplex_py, c_mult, convex_combine, convex_union, convexsets, d_unit, dist_make,
+                 feasibility, iota, member_of_hull)
 from csl.distributions import ZERO
 from csl.feasibility import hull_coefficients, kernel_name
 
@@ -179,6 +181,35 @@ def test_bound_prefilter_says_outside_only_when_the_lp_and_fourier_motzkin_do(hu
     assert all(settled[kind] > 10 for kind in kinds)
 
 
+def test_in_answers_from_the_kept_basis_as_member_of_hull_and_fourier_motzkin(hull_answers):
+    rng = Random(6023)
+    kinds = ("plain", "dirac", "outside", "missing", "repeated", "nested")
+    held = dict.fromkeys(kinds, 0)
+    solved = 0
+    answers = set()
+    for trial in range(480):
+        kind = kinds[trial % len(kinds)]
+        gens, target = differential_instance(rng, kind)
+        want = member_of_hull_fm(target, gens)
+        s = ConvexSet(gens)
+        hull_answers.clear()
+        assert (target in s) == want
+        if s._hull is not None:  # extracted: the answer came from the kept basis
+            held[kind] += 1
+            solved += len(hull_answers)
+            assert {path for path, _ in hull_answers} <= {"basis"}
+        assert member_of_hull(target, gens) == want
+        # sets that hold no basis answer through member_of_hull
+        few = list(dict.fromkeys(gens))[:2]
+        for other, inside in ((pickle.loads(pickle.dumps(s)), want),
+                              (convex_union(s, ConvexSet(gens[:1])), want),
+                              (ConvexSet(few), member_of_hull_fm(target, few))):
+            assert other._hull is None
+            assert (target in other) == inside
+        answers.add(want)
+    assert min(held.values()) > 20 and solved > 50 and answers == {True, False}, (held, solved)
+
+
 def test_dirac_outside_and_missing_atom_targets_reach_no_lp(hull_answers):
     rng = Random(6022)
     answers = set()
@@ -192,22 +223,68 @@ def test_dirac_outside_and_missing_atom_targets_reach_no_lp(hull_answers):
 # --- the basis of a partial base -------------------------------------------------
 
 
-def rank(points, atoms):
-    """The rank of the weight vectors of ``points`` over ``atoms``, by
-    Gaussian elimination over Fractions."""
-    rows = [[dict(p.entries).get(a, ZERO) for a in atoms] for p in points]
-    r = 0
-    for c in range(len(atoms)):
+def echelon(rows):
+    """Gauss-Jordan elimination over Fractions: the reduced rows, each
+    nonzero one scaled to 1 at its pivot, and the pivot columns in order."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [a / rows[r][c] for a in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = rows[i][c] / rows[r][c]
+                f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def weights_over(p, atoms):
+    return [dict(p.entries).get(a, ZERO) for a in atoms]
+
+
+def rank(points, atoms):
+    """The rank of the weight vectors of ``points`` over ``atoms``, by
+    Gaussian elimination over Fractions."""
+    return len(echelon([weights_over(p, atoms) for p in points])[1])
+
+
+def exact_coefficients(points, target, atoms):
+    """The coefficients x with ``sum_j x_j points[j] = target``, by
+    Gauss-Jordan elimination over Fractions on ``[points | target]``, one
+    row per atom: None when the points are linearly dependent, "outside"
+    when the target is outside their span. Over independent points the
+    coefficients are unique."""
+    vectors = [weights_over(p, atoms) for p in [*points, target]]
+    rows, pivots = echelon(list(zip(*vectors)))
+    k = len(points)
+    if pivots[:k] != list(range(k)):
+        return None
+    if k in pivots:
+        return "outside"
+    return [rows[j][-1] for j in range(k)]
+
+
+def caratheodory_member(points, target, atoms):
+    """Is ``target`` a convex combination of ``points``? By Carathéodory's
+    theorem for cones, exactly when it is a nonnegative combination of
+    linearly independent points, and then of every basis of the points'
+    span that holds them, with the same coefficients, as they are unique.
+    So every basis is solved exactly until one gives nonnegative ones
+    (a nonnegative combination of distributions that is a distribution
+    has coefficients summing to 1)."""
+    r = rank(points, atoms)
+    for subset in combinations(points, r):
+        x = exact_coefficients(subset, target, atoms)
+        if x == "outside":  # the basis spans what all the points span
+            return False
+        if x is not None and min(x) >= 0:
+            return True
+    return False
 
 
 def atom_pool(rng, kind, n):
@@ -240,7 +317,7 @@ def independent_instance(rng, trial):
     return atoms, points, dist(rng, atoms)
 
 
-def test_the_echelon_form_answers_as_the_simplex_and_fourier_motzkin():
+def test_the_echelon_form_answers_as_exact_elimination_and_fourier_motzkin():
     rng = Random(8128)
     seen = dict.fromkeys(("inside", "negative coefficient", "outside the span"), 0)
     checked = 0
@@ -254,8 +331,8 @@ def test_the_echelon_form_answers_as_the_simplex_and_fourier_motzkin():
         assert -1 not in form.row_of  # independent columns all enter the basis
         x, y = form.answer(b)
         assert (x is None) != (y is None)
-        kx, _ = _simplex_py.hull_witness([list(row) for row in zip(*gens, b)], len(gens))
-        assert (x is not None) == (kx is not None)
+        exact = exact_coefficients(points, target, atoms)
+        assert (x is not None) == (exact != "outside" and min(exact) >= 0)
         # Fourier-Motzkin's rows grow exponentially with the points: up to three here
         if len(points) <= 3:
             assert (x is not None) == member_of_hull_fm(target, points)
@@ -264,9 +341,9 @@ def test_the_echelon_form_answers_as_the_simplex_and_fourier_motzkin():
             den, values = x
             assert den > 0 and min(values) >= 0
             assert all(sum(v * c[k] for v, c in zip(values, gens)) == b[k] * den for k in range(len(b)))
-            # E is independent, so the coefficients are unique: the kernel's are the same
-            kden, kvalues = kx
-            assert [Fraction(v, den) for v in values] == [Fraction(v, kden) for v in kvalues]
+            # E is independent, so the coefficients are unique: elimination's are the same,
+            # each on a point's weights, where the basis has them on its stored integers
+            assert [Fraction(v * p.den, den * target.den) for v, p in zip(values, points)] == exact
             seen["inside"] += 1
         else:
             dots = [sum(map(mul, y, col)) for col in gens]
@@ -289,7 +366,7 @@ def grid_point(rng, atoms, den):
     return dist_make([(a, Fraction(hi - lo, den)) for a, lo, hi in zip(atoms, [0] + cuts, cuts + [den])])
 
 
-def test_the_basis_answers_as_the_simplex_and_fourier_motzkin_from_warm_starts():
+def test_the_basis_answers_as_caratheodory_and_fourier_motzkin_from_warm_starts():
     rng = Random(8130)
     seen = dict.fromkeys(("inside", "outside", "pivoted", "dependent", "dependent, rank-deficient"), 0)
     checked = 0
@@ -310,8 +387,7 @@ def test_the_basis_answers_as_the_simplex_and_fourier_motzkin_from_warm_starts()
             for t, b in zip(targets, cols[len(points):]):
                 before = list(basis.row_of)
                 x, y = feasibility.verified(basis.cols, b, *basis.answer(b))
-                kx, _ = _simplex_py.hull_witness([list(row) for row in zip(*basis.cols, b)], k)
-                assert (x is not None) == (kx is not None)
+                assert (x is not None) == caratheodory_member(points[:k], t, atoms)
                 if k <= 3:  # Fourier-Motzkin's rows grow exponentially with the points
                     assert (x is not None) == member_of_hull_fm(t, points[:k])
                     checked += 1
@@ -332,11 +408,12 @@ def square(*atoms):
 
 def test_a_dependent_point_stays_nonbasic_and_the_basis_answers(hull_answers):
     corners, centre = square("a", "b", "c", "d")
-    cols = feasibility.columns([*corners, centre])
-    base = feasibility.PartialBase(len(cols[0]))
+    zeros = feasibility.atom_zeros([*corners, centre])
+    cols = feasibility.columns([*corners, centre], zeros)
+    base = feasibility.PartialBase(zeros)
     paths = []
-    for c in cols[:4]:
-        base.add(c)
+    for c, d in zip(cols[:4], corners):
+        base.add(c, d.den)
         hull_answers.clear()
         inside = base.separation(cols[4]) is None
         paths.append((hull_answers[0][0], inside))
@@ -356,7 +433,7 @@ def test_planted_extreme_points_are_extracted_without_the_simplex(hull_answers):
         inner = [convex_combine(weights(rng, len(planted)), planted) for _ in range(rng.randint(1, 6))]
         dists = sorted(set(planted + inner))
         hull_answers.clear()
-        assert convexsets._extract_base(dists) == sorted(planted)
+        assert convexsets._extract_base(dists)[0] == sorted(planted)
         # every inner point is tested, and every test is answered by the basis
         assert {path for path, _ in hull_answers} == {"basis"}
 
