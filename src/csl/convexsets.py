@@ -26,12 +26,12 @@ from .distributions import (
     Atom,
     Dist,
     Rational,
-    convex_combine,
     d_map,
     d_unit,
     dist_from_obj,
     dist_to_obj,
     exact,
+    integer_combine,
     mix2,
 )
 from .errors import DecodeError, InvalidProbability
@@ -200,11 +200,11 @@ class ConvexSet:
     when every element of B is a generator and every other generator lies
     in the hull of B. Then B becomes the lazy side's base too.
 
-    A set whose constructor extracted keeps the basis of its base's columns
-    that the extraction ended with, and ``in`` answers from it, as the
-    extraction tested a point. Every other set (lazy, unpickled, or of two
-    or fewer generators) tests against the points it holds, which generate
-    the same hull (:func:`member_of_hull`).
+    A set that extracted, built or when its base was read, keeps the basis
+    of its base's columns that the extraction ended with (``==`` may give
+    it one), and ``in`` answers from it. Every other set (unextracted,
+    unpickled, or of two or fewer generators) tests against the points it
+    holds, which generate the same hull (:func:`member_of_hull`).
 
     Lazy generators are a list, not a tuple: CPython sizes a tuple built
     from a generator by a guess and resizes it, then frees it onto the free
@@ -239,7 +239,8 @@ class ConvexSet:
             if self._extreme:
                 self._base = tuple(sorted(self._points))
             else:
-                self._base = ConvexSet(self._points).base
+                extracted = ConvexSet(self._points)
+                self._base, self._hull = extracted._base, extracted._hull
             self._points = self._base
             self._extreme = True
         return self._base
@@ -265,32 +266,33 @@ class ConvexSet:
         if not isinstance(other, ConvexSet):
             return NotImplemented
         if other._base is None and not other._extreme:
-            return other._generated_by(self.base)
+            return other._generated_by(self)
         if self._base is None and not self._extreme:
-            return self._generated_by(other.base)
+            return self._generated_by(other)
         return self.base == other.base
 
-    def _generated_by(self, base: Tuple[Dist, ...]) -> bool:
-        """Is ``base`` the base of the hull of this set's points? If so,
-        the set takes it as its own.
+    def _generated_by(self, other: "ConvexSet") -> bool:
+        """Is ``other``'s base the base of the hull of this set's points? If
+        so, the set takes it as its own.
 
         Every generating set of a hull contains the hull's unique base, so
         the points generate the hull of ``base`` exactly when they include
         ``base`` and the others lie in its hull. A missing element answers
-        no before any column is built; the others are tested against one
-        basis of ``base``'s columns, as an extraction tests a point.
+        no before any column is built; ``in`` on ``other`` tests the others,
+        from the basis its extraction kept, or else from a new basis of
+        ``base``'s columns that ``other`` keeps from then on.
         """
+        base = other.base
         extreme = set(base)
         if not extreme.issubset(self._points):
             return False
         rest = [p for p in self._points if p not in extreme]
-        if rest:
-            hull = PartialBase(atom_zeros(self._points))
-            cols = columns([*base, *rest], hull.zeros)
-            for c, d in zip(cols, base):
+        if rest and other._hull is None:
+            other._hull = hull = PartialBase(atom_zeros(base))
+            for c, d in zip(columns(base, hull.zeros), base):
                 hull.add(c, d.den)
-            if any(_separation(hull, c, p.den) for c, p in zip(cols[len(base):], rest)):
-                return False
+        if not all(p in other for p in rest):
+            return False
         self._base = self._points = base
         self._extreme = True
         return True
@@ -380,18 +382,18 @@ def c_mult(s: ConvexSet) -> ConvexSet:
 
     ``s`` must have base elements that are distributions whose atoms are
     themselves ``ConvexSet`` values (a ``TypeError`` otherwise). For each
-    such distribution, every way of picking one base element per inner set
-    is mixed with the outer weights; the hull of all these finitely many
-    picks is the flattening.
+    such distribution phi, every way of picking one base element per inner
+    set is mixed with phi's weights; the hull of these picks is the
+    flattening. Each pick is one :func:`integer_combine` over phi's stored
+    integers, which are a distribution already, so nothing is checked.
     """
     candidates = []
     for phi in s.base:
         if not all(isinstance(u, ConvexSet) for u in phi.nums):
             raise TypeError(f"c_mult needs distributions over convex sets, got {phi!r}")
-        inner = [u for u, _ in phi.entries]
-        weights = [w for _, w in phi.entries]
-        for choice in itertools.product(*(u.base for u in inner)):
-            candidates.append(convex_combine(weights, choice))
+        ints = list(phi.nums.values())
+        for choice in itertools.product(*(u.base for u in phi.nums)):
+            candidates.append(integer_combine(phi.den, ints, choice))
     return ConvexSet(candidates)
 
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
 
 from .errors import DecodeError, NotADistribution, NotAWeightVector
 
@@ -149,7 +149,8 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
     """Pointwise convex combination of distributions.
 
     Weights must be nonnegative, sum to exactly 1 and match the number of
-    distributions; zero weights are allowed and simply drop their summand.
+    distributions; zero weights drop their summand. Once checked, they are
+    integers over their lcm denominator, summed by :func:`integer_combine`.
     """
     ws = [exact(w) for w in weights]
     ds = list(dists)
@@ -161,16 +162,23 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
     if negative:
         raise NotAWeightVector(f"negative weight {negative[0]}")
     q = lcm(*(w.denominator for w in ws))
-    if sum(w.numerator * (q // w.denominator) for w in ws) != q:
+    ints = [w.numerator * (q // w.denominator) for w in ws]
+    if sum(ints) != q:
         raise NotAWeightVector("weights do not sum to exactly 1")
-    # Weight p/r on a dist over D scales its integers by p over r*D.
-    den = lcm(*(w.denominator * d.den for w, d in zip(ws, ds)))
+    return integer_combine(q, ints, ds)
+
+
+def integer_combine(den: int, ints: Sequence[int], dists: Sequence[Dist]) -> Dist:
+    """``sum_j ints[j]/den * dists[j]``, the nonnegative ``ints`` summing to
+    ``den`` unchecked: over ``L = lcm(d.den)``, ``dists[j]`` is scaled by
+    ``ints[j] * (L // dists[j].den)``, all over ``den * L``."""
+    L = lcm(*(d.den for d in dists))
     acc: dict = {}
-    for w, d in zip(ws, ds):
-        k = w.numerator * (den // (w.denominator * d.den))
-        for atom, n in d.nums.items():
-            acc[atom] = acc.get(atom, 0) + k * n
-    return Dist.__new__(Dist)._store(den, acc)
+    for n, d in zip(ints, dists):
+        k = n * (L // d.den)
+        for atom, m in d.nums.items():
+            acc[atom] = acc.get(atom, 0) + k * m
+    return Dist.__new__(Dist)._store(den * L, acc)
 
 
 def mix2(p: Fraction, a: Dist, b: Dist) -> Dist:

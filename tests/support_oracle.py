@@ -9,6 +9,11 @@ the p-mix of their maxima. So :func:`h` is a fold over the term's syntax,
 and reads no distribution, base or linear program. A finitely generated
 hull is the intersection of the half-spaces ``y·x <= h(y)``, so h pins the
 set down without any of the library's extraction or hull tests.
+
+h also reads a flattening off the nested set it flattens: h is linear in
+the weights of a distribution and the max over a hull, so the flattening of
+one distribution phi over sets has ``sum_u phi(u) * h_u(y)``, and that of a
+set of them the max over its base (:func:`h_flattened`).
 """
 
 from csl.terms import fold
@@ -28,3 +33,9 @@ def dot(y, d):
 def h_points(points, y):
     """The support function of the hull of ``points`` in the direction ``y``."""
     return max(dot(y, x) for x in points)
+
+
+def h_flattened(s, y):
+    """The support function of ``c_mult(s)`` in the direction ``y``, from
+    the bases of ``s`` and of its inner sets alone."""
+    return max(sum(w * h_points(u.base, y) for u, w in phi.entries) for phi in s.base)

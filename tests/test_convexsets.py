@@ -34,7 +34,7 @@ from csl import (
     set_to_obj,
     unique_base,
 )
-from csl import _simplex_py
+from csl import _simplex_py, convexsets
 from csl.convexsets import _extract_base
 from csl.distributions import dist_to_obj, mix2
 from csl.errors import DecodeError
@@ -85,6 +85,30 @@ def test_a_set_contains_no_value_that_is_not_a_distribution(item):
     s = from_generators([DX, DY])
     assert item not in s
     assert XY in s and DZ not in s
+
+
+def test_a_lazy_set_answers_in_from_the_basis_its_extraction_kept(monkeypatch):
+    rng = Random(4349)
+    cases = []
+    for _ in range(200):
+        s = iota(term(rng, 5, atoms="wxyz"))
+        if s._base is None and not s._extreme and len(s.base) > 2:  # two points need no basis
+            base = list(s.base)
+            chosen = [rng.sample(base, min(len(base), 4)) for _ in range(2)]
+            points = [convex_combine(weights(rng, len(ps)), ps) for ps in chosen]  # inside
+            points += [dist(rng) for _ in range(3)]  # anywhere over w, x, y, z
+            points.append(mix2(prob(rng), rng.choice(base), d_unit("v")))  # an atom no point has
+            cases.append((s, points, [member_of_hull(d, base) for d in points]))
+
+    def building_a_new_basis(d, gens):
+        raise AssertionError("in on a set that extracted built a new basis")
+
+    assert len(cases) > 40
+    monkeypatch.setattr("csl.convexsets.member_of_hull", building_a_new_basis)
+    verdicts = [d in s for s, points, _ in cases for d in points]
+    assert verdicts == [v for *_, want in cases for v in want]
+    anywhere = [v for i, v in enumerate(verdicts) if i % 6 in (2, 3, 4)]
+    assert all(verdicts[0::6] + verdicts[1::6]) and 0 < sum(anywhere) < len(anywhere) and not any(verdicts[5::6])
 
 
 def test_hull_coefficients_reconstruct_member():
@@ -407,6 +431,28 @@ def test_monad_associativity():
         assert c_mult(c_map(c_mult, t)) == c_mult(c_mult(t))
 
 
+def full_product(s):
+    """``c_mult``'s reference: every pick of inner base points mixed by
+    ``convex_combine`` with the outer weights as Fractions, then extracted."""
+    return ConvexSet(
+        convex_combine([w for _, w in phi.entries], choice)
+        for phi in s.base
+        for choice in itertools.product(*(u.base for u, _ in phi.entries))
+    )
+
+
+def test_mult_is_the_hull_of_the_full_product():
+    rng = Random(78)
+    mixed_dens = 0
+    for trial in range(60):
+        s = nested(rng, atoms="wxyz", inner_max=4, max_den=(6, 12, 30)[trial % 3])
+        got, want = c_mult(s), full_product(s)
+        assert got == want
+        assert [(d.den, list(d.nums.items())) for d in got.base] == [(d.den, list(d.nums.items())) for d in want.base]
+        mixed_dens += any(len({d.den for d in u.base}) > 1 for phi in s.base for u in phi.nums)
+    assert mixed_dens > 20
+
+
 def test_mult_of_a_set_over_atoms_that_are_not_sets_is_a_type_error():
     # the atoms are a name and a distribution; both raised AttributeError on .base
     for atom in ("a", DX):
@@ -703,6 +749,36 @@ def test_equality_needs_the_base_among_the_generators_and_no_point_outside(hull_
             hull_answers.clear()
             assert (s1 == s2) == want
             assert len(hull_answers) == answers and all(path == "basis" for path, _ in hull_answers)
+
+
+def test_equality_tests_against_the_basis_the_other_side_kept(monkeypatch):
+    built = []
+
+    class CountedBasis(convexsets.PartialBase):
+        def __init__(self, zeros):
+            built.append(len(zeros))
+            super().__init__(zeros)
+
+    monkeypatch.setattr(convexsets, "PartialBase", CountedBasis)
+    rng = Random(4347)
+    fallbacks = 0
+    for _ in range(100):
+        gens1, gens2 = equality_instance(rng, flat_atoms)
+        extracted = ConvexSet(gens1)
+        want, kept = extracted.base == ConvexSet(gens2).base, extracted._hull
+        built.clear()
+        assert (extracted == lazy(gens2)) == want
+        if kept is not None:  # the extraction's basis answered
+            assert built == [] and extracted._hull is kept
+        # a side that kept no basis builds one of its base's columns and keeps it
+        unextracted = ConvexSet._lazy(extracted.base, True)
+        built.clear()
+        assert (unextracted == lazy(gens2)) == want
+        assert built == ([] if unextracted._hull is None else [len(unextracted._hull.zeros)])
+        fallbacks += bool(built)
+        built.clear()
+        assert (unextracted == lazy(gens2)) == want and built == []
+    assert fallbacks > 30
 
 
 def test_equality_with_a_known_side_extracts_nothing_and_passes_the_base_on(extractions):

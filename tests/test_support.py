@@ -7,9 +7,10 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csl import ConvexSet, Leaf, Mix, Or, canon, convex_combine, dist_make, iota
+from csl import ConvexSet, Leaf, Mix, Or, c_mult, canon, convex_combine, dist_make, iota
 
-from support_oracle import dot, h, h_points
+from genrandom import nested
+from support_oracle import dot, h, h_flattened, h_points
 
 ATOMS = ("x", "y", "z")
 
@@ -48,3 +49,11 @@ def test_a_point_in_the_set_stays_below_its_support(t, ys, data):
     for d in inner + anywhere:
         if d in s:
             assert all(dot(y, d) <= h(t, y) for y in ys + AXES)
+
+
+@given(st.randoms(use_true_random=False), st.lists(directions_st, min_size=1, max_size=4))
+def test_the_support_of_a_flattening_is_the_largest_mix_of_the_inner_supports(rng, ys):
+    s = nested(rng, atoms=ATOMS, inner_max=4, max_den=(6, 12, 30)[rng.randrange(3)])
+    flat = c_mult(s).base
+    for y in ys + AXES:
+        assert h_points(flat, y) == h_flattened(s, y)
