@@ -36,24 +36,36 @@ from .distributions import (
 )
 from .errors import DecodeError, InvalidProbability
 # hull_coefficients is also read from here, by perfbench's checks.
-from .feasibility import PartialBase, atom_zeros, columns, hull_coefficients, simplex
+from .feasibility import PartialBase, atom_zeros, columns, hull_coefficients
 
 
-def _bound_separation(b: List[int], den: int, cols: List[List[int]], dens: List[int]) -> Optional[List[int]]:
-    """A one-row functional, +1 or -1 on one atom and 0 on the others, that
-    separates the column ``b`` (denominator ``den``) from the columns
-    ``cols`` (denominators ``dens``), or None when the per-atom bounds do
-    not settle it.
+def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
+    """Is ``d`` a convex combination of the given distributions?
 
-    An atom whose weight in ``b`` is strictly above, or strictly below, its
-    weight in every column separates, since every convex combination
-    keeps it between the two. Where ``b`` weighs 0, only below can hold,
-    and it does when every column weighs more than 0.
+    Answered by ``in`` on the set the generators span (see
+    :class:`ConvexSet`), which builds one basis of their columns.
     """
-    for k, (x, row) in enumerate(zip(b, zip(*cols))):
+    points = list(dict.fromkeys(gens))
+    if not points:
+        raise ValueError("generator set must be non-empty")
+    return d in ConvexSet._lazy(points, False)
+
+
+def _separation(base: PartialBase, b: List[int], den: int) -> Optional[List[int]]:
+    """A functional separating the column ``b`` (denominator ``den``) from
+    the hull of the columns of ``base``, or None when ``b`` lies inside.
+
+    First by the per-atom bounds: an atom whose weight in ``b`` is strictly
+    above, or strictly below, its weight in every column separates, as +1
+    or -1 on that atom and 0 on the others, since every convex combination
+    keeps it between the two. Where ``b`` weighs 0, only below can hold,
+    and it does when every column weighs more than 0. This covers every
+    Dirac ``b`` outside the hull. Otherwise by the basis's verified answer.
+    """
+    for k, (x, row) in enumerate(zip(b, zip(*base.cols))):
         if x:
             above = below = True
-            for c, cden in zip(row, dens):
+            for c, cden in zip(row, base.dens):
                 diff = x * cden - c * den
                 above = above and diff > 0
                 below = below and diff < 0
@@ -65,40 +77,7 @@ def _bound_separation(b: List[int], den: int, cols: List[List[int]], dens: List[
             y = [0] * len(b)
             y[k] = 1 if above else -1
             return y
-    return None
-
-
-def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
-    """Is ``d`` a convex combination of the given distributions?
-
-    Decided exactly on the integer columns of the generators and ``d``
-    (:func:`columns`). A generator equal to ``d`` answers yes, and an atom
-    of ``d`` that no generator has answers no before any column is built.
-    An atom whose weight in ``d`` is strictly above, or strictly below, its
-    weight in every generator answers no; this covers every Dirac ``d``
-    outside the hull. Otherwise the simplex solves one linear
-    equality per atom over nonnegative coefficients that sum to 1, and its
-    answer is verified before it is used.
-    """
-    gen_list = list(gens)
-    if not gen_list:
-        raise ValueError("generator set must be non-empty")
-    if d in gen_list:
-        return True
-    if not set().union(*[g.nums for g in gen_list]).issuperset(d.nums):
-        return False
-    cols = columns([*gen_list, d])
-    gen_cols, b = cols[:-1], cols[-1]
-    if _bound_separation(b, d.den, gen_cols, [g.den for g in gen_list]) is not None:
-        return False
-    return simplex(gen_cols, b)[0] is not None
-
-
-def _separation(base: PartialBase, b: List[int], den: int) -> Optional[List[int]]:
-    """A functional separating the column ``b`` (denominator ``den``) from
-    the hull of the columns of ``base``, or None when ``b`` lies inside: by
-    the per-atom bounds, then by the basis's verified answer."""
-    return _bound_separation(b, den, base.cols, base.dens) or base.separation(b)
+    return base.separation(b)
 
 
 def _lex_above(q: List[int], qden: int, r: List[int], rden: int) -> bool:
@@ -200,11 +179,12 @@ class ConvexSet:
     when every element of B is a generator and every other generator lies
     in the hull of B. Then B becomes the lazy side's base too.
 
-    A set that extracted, built or when its base was read, keeps the basis
-    of its base's columns that the extraction ended with (``==`` may give
-    it one), and ``in`` answers from it. Every other set (unextracted,
-    unpickled, or of two or fewer generators) tests against the points it
-    holds, which generate the same hull (:func:`member_of_hull`).
+    ``in`` is the one membership test; :func:`member_of_hull` and ``==``
+    ask it. A value that is not a ``Dist``, a point the set holds and an
+    atom that none of its points has answer at once. Every other test
+    answers from the one basis the set keeps: the one its extraction ended
+    with, or else, built at the first such test and kept, a basis of the
+    points it holds, which generate the same hull.
 
     Lazy generators are a list, not a tuple: CPython sizes a tuple built
     from a generator by a guess and resizes it, then frees it onto the free
@@ -254,13 +234,18 @@ class ConvexSet:
     def __contains__(self, d) -> bool:
         if not isinstance(d, Dist):
             return False
-        hull = self._hull
-        if hull is None:
-            return member_of_hull(d, self._points)
-        if d in self._base:
+        if d in self._points:
             return True
-        # The rows of the basis are all the atoms of the hull.
-        return hull.zeros.keys() >= d.nums.keys() and _separation(hull, columns([d], hull.zeros)[0], d.den) is None
+        hull = self._hull
+        # The rows of a basis are all the atoms of the points it spans.
+        zeros = atom_zeros(self._points) if hull is None else hull.zeros
+        if not zeros.keys() >= d.nums.keys():
+            return False
+        if hull is None:
+            self._hull = hull = PartialBase(zeros)
+            for c, p in zip(columns(self._points, zeros), self._points):
+                hull.add(c, p.den)
+        return _separation(hull, columns([d], zeros)[0], d.den) is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
@@ -279,19 +264,13 @@ class ConvexSet:
         the points generate the hull of ``base`` exactly when they include
         ``base`` and the others lie in its hull. A missing element answers
         no before any column is built; ``in`` on ``other`` tests the others,
-        from the basis its extraction kept, or else from a new basis of
-        ``base``'s columns that ``other`` keeps from then on.
+        from the one basis ``other`` keeps.
         """
         base = other.base
         extreme = set(base)
         if not extreme.issubset(self._points):
             return False
-        rest = [p for p in self._points if p not in extreme]
-        if rest and other._hull is None:
-            other._hull = hull = PartialBase(atom_zeros(base))
-            for c, d in zip(columns(base, hull.zeros), base):
-                hull.add(c, d.den)
-        if not all(p in other for p in rest):
+        if not all(p in other for p in self._points if p not in extreme):
             return False
         self._base = self._points = base
         self._extreme = True

@@ -215,9 +215,12 @@ def d_mult(big) -> Dist:
 
     Accepts either a :class:`Dist` whose atoms are themselves ``Dist``
     values, or an iterable of ``(Dist, weight)`` pairs (validated the same
-    way as :func:`dist_make`).
+    way as :func:`dist_make`); an atom that is not a ``Dist`` is a
+    ``TypeError``.
     """
     outer = big if isinstance(big, Dist) else Dist(big)
+    if not all(isinstance(d, Dist) for d in outer.nums):
+        raise TypeError(f"d_mult needs a distribution over distributions, got {outer!r}")
     return convex_combine([w for _, w in outer.entries], outer.atoms)
 
 

@@ -19,14 +19,14 @@ implied and no row is built for it; ``alpha_j = D_j beta_j / D_d``.
 One solver in ``csl._simplex_py`` answers it: a least-index criss-cross
 on one fraction-free basis of the columns (:class:`PartialBase`). An
 extraction grows that basis point by point and starts each test from the
-basis the last one left; a set keeps the basis its extraction ended with
-and answers ``in`` from it; a one-shot query starts a fresh one
-(:func:`simplex`). No answer is used before :func:`verified`, the one
-check, accepts it with integer dot products. Coefficients must rebuild
-every atom of the target, which also gives the convexity condition. A
-Farkas vector y (one integer per atom) must have
-``y·g <= 0 < y·d`` on the stored integers of every generator g and of d,
-which proves d outside the hull: every convex combination keeps
+basis the last one left; a set keeps one basis and answers every
+membership test from it; :func:`hull_coefficients`, the one query that
+wants coefficients, starts a fresh one (:func:`simplex`). No answer is
+used before :func:`verified`, the one check, accepts it with integer dot
+products. Coefficients must rebuild every atom of the target, which also
+gives the convexity condition. A Farkas vector y (one integer per atom)
+must have ``y·g <= 0 < y·d`` on the stored integers of every generator g
+and of d, which proves d outside the hull: every convex combination keeps
 ``y·x / D_x <= 0``. A failed check raises ``ArithmeticError``.
 """
 

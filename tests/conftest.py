@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from csl import feasibility
+from csl import convexsets, feasibility
 
 settings.register_profile("csl", deadline=None, max_examples=60)
 settings.load_profile("csl")
@@ -22,9 +22,10 @@ def pytest_runtest_call(item):
 def hull_answers(monkeypatch):
     """Every hull answer checked by ``feasibility.verified`` from now on, as
     ``(path, columns)``: path "simplex" for a one-shot answer of
-    ``hull_witness``, from a fresh basis of all the columns, and "basis" for
-    one of a basis kept across tests: an extraction's, warm-started by the
-    test before, or the one a set's extraction left, which answers ``in``."""
+    ``hull_witness``, from a fresh basis of all the columns, as
+    ``hull_coefficients`` solves, and "basis" for one of a basis kept
+    across tests: an extraction's, warm-started by the test before, or the
+    one a set keeps, which answers ``in``, ``member_of_hull`` and ``==``."""
     answers = []
     solved = []
     kernel, check = feasibility._kernel.hull_witness, feasibility.verified
@@ -41,3 +42,19 @@ def hull_answers(monkeypatch):
     monkeypatch.setattr(feasibility._kernel, "hull_witness", solving)
     monkeypatch.setattr(feasibility, "verified", checking)
     return answers
+
+
+@pytest.fixture
+def bases_built(monkeypatch):
+    """The number of rows of every ``PartialBase`` that ``csl.convexsets``
+    builds from now on: an extraction's, or the one ``in`` builds for a set
+    that kept none."""
+    built = []
+
+    class CountedBasis(convexsets.PartialBase):
+        def __init__(self, zeros):
+            built.append(len(zeros))
+            super().__init__(zeros)
+
+    monkeypatch.setattr(convexsets, "PartialBase", CountedBasis)
+    return built

@@ -34,7 +34,7 @@ from csl import (
     set_to_obj,
     unique_base,
 )
-from csl import _simplex_py, convexsets
+from csl import _simplex_py
 from csl.convexsets import _extract_base
 from csl.distributions import dist_to_obj, mix2
 from csl.errors import DecodeError
@@ -87,7 +87,7 @@ def test_a_set_contains_no_value_that_is_not_a_distribution(item):
     assert XY in s and DZ not in s
 
 
-def test_a_lazy_set_answers_in_from_the_basis_its_extraction_kept(monkeypatch):
+def test_a_lazy_set_answers_in_from_the_basis_its_extraction_kept(bases_built):
     rng = Random(4349)
     cases = []
     for _ in range(200):
@@ -100,13 +100,11 @@ def test_a_lazy_set_answers_in_from_the_basis_its_extraction_kept(monkeypatch):
             points.append(mix2(prob(rng), rng.choice(base), d_unit("v")))  # an atom no point has
             cases.append((s, points, [member_of_hull(d, base) for d in points]))
 
-    def building_a_new_basis(d, gens):
-        raise AssertionError("in on a set that extracted built a new basis")
-
     assert len(cases) > 40
-    monkeypatch.setattr("csl.convexsets.member_of_hull", building_a_new_basis)
+    bases_built.clear()
     verdicts = [d in s for s, points, _ in cases for d in points]
     assert verdicts == [v for *_, want in cases for v in want]
+    assert bases_built == [], "in on a set that extracted built a new basis"
     anywhere = [v for i, v in enumerate(verdicts) if i % 6 in (2, 3, 4)]
     assert all(verdicts[0::6] + verdicts[1::6]) and 0 < sum(anywhere) < len(anywhere) and not any(verdicts[5::6])
 
@@ -751,33 +749,25 @@ def test_equality_needs_the_base_among_the_generators_and_no_point_outside(hull_
             assert len(hull_answers) == answers and all(path == "basis" for path, _ in hull_answers)
 
 
-def test_equality_tests_against_the_basis_the_other_side_kept(monkeypatch):
-    built = []
-
-    class CountedBasis(convexsets.PartialBase):
-        def __init__(self, zeros):
-            built.append(len(zeros))
-            super().__init__(zeros)
-
-    monkeypatch.setattr(convexsets, "PartialBase", CountedBasis)
+def test_equality_tests_against_the_basis_the_other_side_kept(bases_built):
     rng = Random(4347)
     fallbacks = 0
     for _ in range(100):
         gens1, gens2 = equality_instance(rng, flat_atoms)
         extracted = ConvexSet(gens1)
         want, kept = extracted.base == ConvexSet(gens2).base, extracted._hull
-        built.clear()
+        bases_built.clear()
         assert (extracted == lazy(gens2)) == want
         if kept is not None:  # the extraction's basis answered
-            assert built == [] and extracted._hull is kept
+            assert bases_built == [] and extracted._hull is kept
         # a side that kept no basis builds one of its base's columns and keeps it
         unextracted = ConvexSet._lazy(extracted.base, True)
-        built.clear()
+        bases_built.clear()
         assert (unextracted == lazy(gens2)) == want
-        assert built == ([] if unextracted._hull is None else [len(unextracted._hull.zeros)])
-        fallbacks += bool(built)
-        built.clear()
-        assert (unextracted == lazy(gens2)) == want and built == []
+        assert bases_built == ([] if unextracted._hull is None else [len(unextracted._hull.zeros)])
+        fallbacks += bool(bases_built)
+        bases_built.clear()
+        assert (unextracted == lazy(gens2)) == want and bases_built == []
     assert fallbacks > 30
 
 

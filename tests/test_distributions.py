@@ -238,6 +238,13 @@ def test_mult_rejects_bad_outer():
         d_mult([(d_unit("x"), HALF)])
 
 
+def test_mult_of_a_distribution_over_atoms_that_are_not_distributions_is_a_type_error():
+    with pytest.raises(TypeError, match="distribution over distributions"):
+        d_mult(dist_make([("a", HALF), ("b", HALF)]))
+    with pytest.raises(TypeError, match="distribution over distributions"):
+        d_mult([("a", HALF), ("b", HALF)])
+
+
 @given(dists())
 def test_monad_left_unit(d):
     assert d_mult([(d, F(1))]) == d

@@ -199,7 +199,7 @@ def test_in_answers_from_the_kept_basis_as_member_of_hull_and_fourier_motzkin(hu
             solved += len(hull_answers)
             assert {path for path, _ in hull_answers} <= {"basis"}
         assert member_of_hull(target, gens) == want
-        # sets that hold no basis answer through member_of_hull
+        # sets that hold no basis yet answer from one that in builds and keeps
         few = list(dict.fromkeys(gens))[:2]
         for other, inside in ((pickle.loads(pickle.dumps(s)), want),
                               (convex_union(s, ConvexSet(gens[:1])), want),
@@ -208,6 +208,40 @@ def test_in_answers_from_the_kept_basis_as_member_of_hull_and_fourier_motzkin(hu
             assert (target in other) == inside
         answers.add(want)
     assert min(held.values()) > 20 and solved > 50 and answers == {True, False}, (held, solved)
+
+
+def test_every_kind_of_set_keeps_one_basis_for_in(bases_built):
+    rng = Random(6024)
+    kinds = ("plain", "dirac", "outside", "missing", "repeated", "nested")
+    kept = dict.fromkeys(("built", "union", "unpickled", "one point", "two points"), 0)
+    for trial in range(240):
+        gens, target = differential_instance(rng, kinds[trial % len(kinds)])
+        distinct = list(dict.fromkeys(gens))
+        built = ConvexSet(gens)
+        # the target, a point inside, and a Dirac on an atom of the generators
+        queries = [target, convex_combine(weights(rng, len(distinct)), distinct),
+                   d_unit(rng.choice(list(gens[0].nums)))]
+        in_gens = [member_of_hull_fm(target, gens), True, member_of_hull_fm(queries[2], gens)]
+        for name, s, spanned in (
+            ("built", built, gens),
+            ("union", convex_union(ConvexSet(gens[:1]), built), gens),
+            ("unpickled", pickle.loads(pickle.dumps(built)), gens),
+            ("one point", ConvexSet(distinct[:1]), distinct[:1]),
+            ("two points", ConvexSet(distinct[:2]), distinct[:2]),
+        ):
+            held, lazy = s._hull, s._base is None
+            bases_built.clear()
+            # a point the set holds, or an atom none of its points has, builds none
+            assert s._points[0] in s and d_unit("u") not in s
+            assert bases_built == [] and s._hull is held
+            wants = in_gens if spanned is gens else [member_of_hull_fm(d, spanned) for d in queries]
+            for _ in range(2):
+                assert [d in s for d in queries] == wants
+            # at most one basis, kept, and no extraction
+            assert len(bases_built) <= (held is None) and (s._base is None) == lazy
+            assert s._hull is held or bases_built == [len(s._hull.zeros)]
+            kept[name] += s._hull is not None
+    assert all(n > 150 for n in kept.values()), kept
 
 
 def test_dirac_outside_and_missing_atom_targets_reach_no_lp(hull_answers):
@@ -473,8 +507,6 @@ def test_an_answer_that_fails_its_check_raises(monkeypatch, kernel):
     for solve in (hull_coefficients, column_simplex):
         with pytest.raises(ArithmeticError):
             solve(mid, [d_unit("x"), d_unit("y")])
-    with pytest.raises(ArithmeticError):
-        member_of_hull(mid, [d_unit("x"), d_unit("y")])
 
 
 def wrong_echelon_coefficients(basis, b):
@@ -507,6 +539,11 @@ def test_an_echelon_answer_that_fails_its_check_raises(monkeypatch, answer):
             patched.setattr(_simplex_py.Basis, "answer", wrong)
             with pytest.raises(ArithmeticError):
                 convexsets._extract_base(sorted(points))
+    # member_of_hull answers from the basis that ``in`` builds
+    mid = convex_combine([Fraction(1, 2)] * 2, [d_unit("x"), d_unit("y")])
+    monkeypatch.setattr(_simplex_py.Basis, "answer", answer)
+    with pytest.raises(ArithmeticError):
+        member_of_hull(mid, [d_unit("x"), d_unit("y")])
 
 
 # --- what perfbench's tracer wraps and calls -----------------------------------------
