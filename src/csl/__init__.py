@@ -33,7 +33,6 @@ from .convexsets import (
     from_generators,
     member_of_hull,
     minkowski,
-    pne_d_map_then_base,
     set_from_obj,
     set_to_obj,
     unique_base,
@@ -53,7 +52,6 @@ from .terms import (
     NPForm,
     Or,
     Term,
-    binary_chain,
     canon,
     decide_eq,
     evaluate,
@@ -89,7 +87,6 @@ __all__ = [
     "ParseError",
     "Rational",
     "Term",
-    "binary_chain",
     "c_map",
     "c_mult",
     "c_unit",
@@ -115,7 +112,6 @@ __all__ = [
     "member_of_hull",
     "minkowski",
     "parse_term",
-    "pne_d_map_then_base",
     "print_term",
     "rewrite_np",
     "rewrite_step",

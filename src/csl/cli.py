@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .convexsets import from_generators, pne_d_map_then_base, set_from_obj, set_to_obj
-from .distributions import d_unit, dist_make, dist_to_obj
+from .convexsets import ConvexSet, from_generators, set_from_obj, set_to_obj
+from .distributions import d_map, d_unit, dist_make, dist_to_obj
 from .errors import CslError, DecodeError
 from .terms import canon, decide_eq, iota, parse_term, print_term, rewrite_np
 
@@ -92,7 +92,9 @@ def cmd_demo(args) -> int:
         d_unit("z"),
     ]
     source = from_generators(gens)
-    raw, mapped = pne_d_map_then_base(rename, source.base)
+    # The raw images, deduplicated and sorted, and the base of their hull.
+    raw = sorted({d_map(rename, d) for d in source.base})
+    mapped = ConvexSet(raw)
 
     # Structural sanity of the demo itself; failing here is a bug.
     assert list(source.base) == sorted(gens)

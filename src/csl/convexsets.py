@@ -17,7 +17,6 @@ nested sets (and their flattening, :func:`c_mult`) are represented.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -31,7 +30,6 @@ from .distributions import (
     dist_from_obj,
     dist_to_obj,
     exact,
-    integer_combine,
     mix2,
 )
 from .errors import DecodeError, InvalidProbability
@@ -360,33 +358,25 @@ def c_mult(s: ConvexSet) -> ConvexSet:
     """Flatten a convex set of distributions over convex sets.
 
     ``s`` must have base elements that are distributions whose atoms are
-    themselves ``ConvexSet`` values (a ``TypeError`` otherwise). For each
-    such distribution phi, every way of picking one base element per inner
-    set is mixed with phi's weights; the hull of these picks is the
-    flattening. Each pick is one :func:`integer_combine` over phi's stored
-    integers, which are a distribution already, so nothing is checked.
+    themselves ``ConvexSet`` values (a ``TypeError`` otherwise). Flattening
+    one such phi interprets its canonical p-term in the set algebra: the
+    weighted Minkowski sum of its inner sets, a chain of :func:`mix_sets`
+    at :func:`~csl.terms.kappa_p`'s prefix-sum probabilities, read off
+    phi's stored integers. The inner sets enter smallest first (a stable
+    sort, so ties keep canonical order), and :func:`mix_sets` extracts the
+    chain so far before mixing it with a set of two or more points. The
+    flattening is the hull of every chain's points, extracted at once.
     """
-    candidates = []
+    points: List[Dist] = []
     for phi in s.base:
         if not all(isinstance(u, ConvexSet) for u in phi.nums):
             raise TypeError(f"c_mult needs distributions over convex sets, got {phi!r}")
-        ints = list(phi.nums.values())
-        for choice in itertools.product(*(u.base for u in phi.nums)):
-            candidates.append(integer_combine(phi.den, ints, choice))
-    return ConvexSet(candidates)
-
-
-def pne_d_map_then_base(
-    f: Callable[[Atom], Atom], gens: Iterable[Dist]
-) -> Tuple[List[Dist], ConvexSet]:
-    """Map generators along ``f`` and also base-extract the images.
-
-    Returns the raw image set (no convex closure, deduplicated, sorted) next
-    to its unique base. The two differ in general: base extraction does not
-    commute with mapping atoms, it only shrinks.
-    """
-    raw = sorted({d_map(f, g) for g in gens})
-    return raw, ConvexSet(raw)
+        (acc, prefix), *rest = sorted(phi.nums.items(), key=lambda un: len(un[0]))
+        for u, n in rest:
+            acc = mix_sets(Fraction(prefix, prefix + n), acc, u)
+            prefix += n
+        points += acc._points
+    return ConvexSet(points)
 
 
 # --- JSON encoding ----------------------------------------------------------

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Tuple
 
 from .errors import DecodeError, NotADistribution, NotAWeightVector
 
@@ -23,7 +23,6 @@ Rational = Fraction
 Atom = Hashable
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _WEIGHT_TEXT = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
@@ -150,7 +149,9 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
 
     Weights must be nonnegative, sum to exactly 1 and match the number of
     distributions; zero weights drop their summand. Once checked, they are
-    integers over their lcm denominator, summed by :func:`integer_combine`.
+    integers ``ints`` over their lcm denominator ``q``, and the sum is one
+    integer step: over ``L = lcm(d.den)``, each distribution's integers are
+    scaled by its ``ints[j] * (L // d.den)``, all over ``q * L``.
     """
     ws = [exact(w) for w in weights]
     ds = list(dists)
@@ -165,20 +166,13 @@ def convex_combine(weights: Iterable[Rational], dists: Iterable[Dist]) -> Dist:
     ints = [w.numerator * (q // w.denominator) for w in ws]
     if sum(ints) != q:
         raise NotAWeightVector("weights do not sum to exactly 1")
-    return integer_combine(q, ints, ds)
-
-
-def integer_combine(den: int, ints: Sequence[int], dists: Sequence[Dist]) -> Dist:
-    """``sum_j ints[j]/den * dists[j]``, the nonnegative ``ints`` summing to
-    ``den`` unchecked: over ``L = lcm(d.den)``, ``dists[j]`` is scaled by
-    ``ints[j] * (L // dists[j].den)``, all over ``den * L``."""
-    L = lcm(*(d.den for d in dists))
+    L = lcm(*(d.den for d in ds))
     acc: dict = {}
-    for n, d in zip(ints, dists):
+    for n, d in zip(ints, ds):
         k = n * (L // d.den)
         for atom, m in d.nums.items():
             acc[atom] = acc.get(atom, 0) + k * m
-    return Dist.__new__(Dist)._store(den * L, acc)
+    return Dist.__new__(Dist)._store(q * L, acc)
 
 
 def mix2(p: Fraction, a: Dist, b: Dist) -> Dist:

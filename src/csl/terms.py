@@ -37,8 +37,8 @@ from math import lcm
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .convexsets import ConvexSet, c_unit, convex_union, mix_sets
-from .distributions import Dist, Rational, ONE, d_unit, exact, mix2
-from .errors import InvalidProbability, NotAWeightVector, ParseError
+from .distributions import Dist, Rational, d_unit, exact, mix2
+from .errors import InvalidProbability, ParseError
 
 
 def _immutable(self, *args):
@@ -410,35 +410,14 @@ def iota(t: Term) -> ConvexSet:
     return evaluate(t, lambda atom: units[atom] if atom in units else units.setdefault(atom, c_unit(atom)))
 
 
-def binary_chain(weights: List[Rational]) -> List[Rational]:
-    """Mixing probabilities realizing a weight vector as a left-nested chain.
-
-    For positive weights w_1..w_n summing to 1, returns p_1..p_{n-1} with
-    p_k = (w_1 + ... + w_k) / (w_1 + ... + w_{k+1}), so that
-    ((t_1 mixed_{p_1} t_2) mixed_{p_2} t_3) ... carries exactly the w_i.
-    """
-    ws = [exact(w) for w in weights]
-    if not ws:
-        raise NotAWeightVector("weight vector must be non-empty")
-    if any(w <= 0 for w in ws):
-        raise NotAWeightVector("weights must be strictly positive")
-    if sum(ws) != ONE:
-        raise NotAWeightVector("weights do not sum to exactly 1")
-    ps = []
-    partial = Fraction(0)
-    for k in range(len(ws) - 1):
-        partial += ws[k]
-        ps.append(partial / (partial + ws[k + 1]))
-    return ps
-
-
 def kappa_p(d: Dist) -> Term:
     """The canonical purely probabilistic term evaluating to ``d``.
 
     Atoms are taken in canonical order and folded into a left-nested chain
     of mixes; ``iota_p(kappa_p(d)) == d`` exactly. The probabilities are
-    :func:`binary_chain`'s, read off the stored integer weights: the k-th
-    is the prefix sum of the first k over that of the first k + 1.
+    read off the stored integer weights: the k-th is the prefix sum of the
+    first k over that of the first k + 1, so the chain carries each atom's
+    weight.
     """
     nums = iter(d.nums.items())
     atom, prefix = next(nums)

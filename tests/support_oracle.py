@@ -30,6 +30,11 @@ def dot(y, d):
     return sum(y[a] * w for a, w in d.entries)
 
 
+def axes(atoms):
+    """The 2·|atoms| coordinate directions, +1 or -1 on one atom."""
+    return [{a: sign * (a == b) for a in atoms} for b in atoms for sign in (1, -1)]
+
+
 def h_points(points, y):
     """The support function of the hull of ``points`` in the direction ``y``."""
     return max(dot(y, x) for x in points)

@@ -14,7 +14,6 @@ from csl import (
     Leaf,
     Mix,
     Or,
-    binary_chain,
     c_map,
     c_mult,
     c_unit,
@@ -43,6 +42,7 @@ from csl.terms import np_summands
 
 from fm_oracle import member_of_hull_fm
 from genrandom import convex, dist, genset, nested, nested3, prob, term, weights
+from kappa_spec import binary_chain
 
 F = Fraction
 HALF = F(1, 2)

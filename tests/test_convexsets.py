@@ -28,7 +28,6 @@ from csl import (
     member_of_hull,
     minkowski,
     parse_term,
-    pne_d_map_then_base,
     print_term,
     set_from_obj,
     set_to_obj,
@@ -40,6 +39,7 @@ from csl.distributions import dist_to_obj, mix2
 from csl.errors import DecodeError
 
 from genrandom import convex, dist, genset, nested, nested3, prob, term, weights
+from support_oracle import axes, h_flattened, h_points
 
 F = Fraction
 HALF = F(1, 2)
@@ -335,9 +335,16 @@ def test_map_constant():
         assert c_map(lambda a: "c", s) == c_unit("c")
 
 
+def raw_image_and_base(f, gens):
+    """The images of ``gens`` along ``f``, deduplicated and sorted, and the
+    base of their hull, as ``csl demo`` prints them."""
+    raw = sorted({d_map(f, g) for g in gens})
+    return raw, ConvexSet(raw)
+
+
 def test_raw_image_versus_base():
     f = {"x": "a", "y": "a", "z": "b"}.__getitem__
-    raw, base = pne_d_map_then_base(f, [XY, XZ, DZ])
+    raw, base = raw_image_and_base(f, [XY, XZ, DZ])
     assert raw == [D(("a", HALF), ("b", HALF)), d_unit("a"), d_unit("b")]
     assert base.base == (d_unit("a"), d_unit("b"))
 
@@ -346,7 +353,7 @@ def test_raw_image_identity():
     rng = Random(71)
     for _ in range(15):
         s = convex(rng)
-        raw, base = pne_d_map_then_base(lambda a: a, s.base)
+        raw, base = raw_image_and_base(lambda a: a, s.base)
         assert raw == sorted(s.base)
         assert base == s
 
@@ -362,7 +369,7 @@ def test_mapped_base_included_in_raw_image():
     for _ in range(40):
         s = convex(rng)
         f = rng.choice(renames).__getitem__
-        raw, _ = pne_d_map_then_base(f, s.base)
+        raw, _ = raw_image_and_base(f, s.base)
         mapped = c_map(f, s)
         assert set(mapped.base) <= set(raw)
 
@@ -372,7 +379,7 @@ def test_map_agrees_with_base_of_raw_image():
     f = {"w": "a", "x": "a", "y": "b", "z": "b"}.__getitem__
     for _ in range(20):
         gens = genset(rng)
-        raw, base = pne_d_map_then_base(f, gens)
+        raw, base = raw_image_and_base(f, gens)
         assert base == c_map(f, unique_base(gens))
 
 
@@ -449,6 +456,41 @@ def test_mult_is_the_hull_of_the_full_product():
         assert [(d.den, list(d.nums.items())) for d in got.base] == [(d.den, list(d.nums.items())) for d in want.base]
         mixed_dens += any(len({d.den for d in u.base}) > 1 for phi in s.base for u in phi.nums)
     assert mixed_dens > 20
+
+
+def wide_flattening_instance(k, seed=23):
+    """One distribution over ``k`` distinct three-point inner sets over
+    ``wxyz``: its full product has ``3**k`` picks."""
+    rng = Random(seed)
+    inner = []
+    while len(inner) < k:
+        u = convex(rng, atoms="wxyz", max_gens=3, max_den=12)
+        if len(u) == 3 and u not in inner:
+            inner.append(u)
+    return from_generators([dist_make(list(zip(inner, weights(rng, k, max_den=30))))])
+
+
+def test_a_wide_flattening_mixes_polynomially_and_keeps_the_support(monkeypatch, extractions):
+    s = wide_flattening_instance(6)
+    got, want = c_mult(s), full_product(s)
+    assert [(d.den, list(d.nums.items())) for d in got.base] == [(d.den, list(d.nums.items())) for d in want.base]
+    s = wide_flattening_instance(9)
+    mixes = []
+
+    def counting(p, a, b):
+        mixes.append(p)
+        return mix2(p, a, b)
+
+    monkeypatch.setattr("csl.convexsets.mix2", counting)
+    extractions.clear()
+    flat = c_mult(s).base
+    # the full product would mix 3**9 picks and extract them at once
+    assert len(mixes) < 3**9 // 10
+    assert sum(extractions) < 3**9 // 10
+    rng = Random(24)
+    directions = [{a: rng.randint(-9, 9) for a in "wxyz"} for _ in range(50)]
+    for y in directions + axes("wxyz"):
+        assert h_points(flat, y) == h_flattened(s, y)
 
 
 def test_mult_of_a_set_over_atoms_that_are_not_sets_is_a_type_error():
@@ -638,11 +680,14 @@ def test_the_timed_constructors_extract_at_once(monkeypatch):
     # The benchmark times these; a lazy result would move their extraction
     # out of the timed operation and into its check.
     rng = Random(32)
+    f = {"w": "a", "x": "a", "y": "b", "z": "b"}.__getitem__
     built = []
     for _ in range(20):
         gens = genset(rng, max_gens=8)
         built += [ConvexSet(gens), unique_base(gens), from_generators(gens),
-                  set_from_obj({"generators": [dist_to_obj(g) for g in gens]}), c_mult(nested(rng))]
+                  set_from_obj({"generators": [dist_to_obj(g) for g in gens]}), c_mult(nested(rng)),
+                  c_map(f, convex(rng, max_gens=8))]
+    assert all(s._base is not None for s in built)
 
     def extracting(dists):
         raise AssertionError("a built set extracted its base when read")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from csl import ConvexSet, Leaf, Mix, Or, c_mult, canon, convex_combine, dist_make, iota
 
 from genrandom import nested
-from support_oracle import dot, h, h_flattened, h_points
+from support_oracle import axes, dot, h, h_flattened, h_points
 
 ATOMS = ("x", "y", "z")
 
@@ -24,8 +24,7 @@ terms_st = st.recursive(
     max_leaves=10,
 )
 directions_st = st.fixed_dictionaries({a: st.integers(-9, 9) for a in ATOMS})
-# the 2·|atoms| coordinate directions, +1 or -1 on one atom
-AXES = [{a: sign * (a == b) for a in ATOMS} for b in ATOMS for sign in (1, -1)]
+AXES = axes(ATOMS)
 
 
 def weights_st(n):

@@ -17,7 +17,6 @@ from csl import (
     NotAWeightVector,
     Or,
     ParseError,
-    binary_chain,
     c_unit,
     canon,
     d_unit,
@@ -42,6 +41,7 @@ from csl import (
 
 from csl.terms import NPForm, _from_rows, fold, np_summands
 from genrandom import convex, dist, fuzzed_text, term, weights
+from kappa_spec import binary_chain
 
 F = Fraction
 HALF = F(1, 2)
