@@ -10,6 +10,15 @@ The same theorem lets ``==`` extract one side only: generators G span the
 hull of a base B exactly when B is part of G and G lies in the hull of B,
 since every generating set of a hull contains its unique base.
 
+A set holds its points as integer tuples over one frame, a sorted tuple
+of atoms: a distribution's stored integers, 0 at atoms it lacks, with gcd 1
+and sum its denominator. They are the hull matrix's columns, so mixing,
+deduplication, extraction and ``in`` read them directly, and a ``Dist`` is
+built only where a base leaves the set: ``base`` and its readers (hashing,
+ordering, iteration, ``len``, ``repr``, :func:`~csl.terms.kappa`, JSON).
+Sets over different frames meet in the union of their frames, into which
+:func:`columns` re-embeds their points.
+
 Like distributions, everything here is generic in the atom type: the atoms
 of the base elements may themselves be ``ConvexSet`` values, which is how
 nested sets (and their flattening, :func:`c_mult`) are represented.
@@ -21,35 +30,42 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .distributions import (
-    Atom,
-    Dist,
-    Rational,
-    d_map,
-    d_unit,
-    dist_from_obj,
-    dist_to_obj,
-    exact,
-    mix2,
-)
+from .distributions import Atom, Dist, Rational, d_map, dist_from_obj, dist_to_obj, exact, mix_points
 from .errors import DecodeError, InvalidProbability
 # hull_coefficients is also read from here, by perfbench's checks.
 from .feasibility import PartialBase, atom_zeros, columns, hull_coefficients
 
 
 def member_of_hull(d: Dist, gens: Iterable[Dist]) -> bool:
-    """Is ``d`` a convex combination of the given distributions?
-
-    Answered by ``in`` on the set the generators span (see
-    :class:`ConvexSet`), which builds one basis of their columns.
-    """
-    points = list(dict.fromkeys(gens))
-    if not points:
+    """Is ``d`` a convex combination of the given distributions? Answered
+    by ``in`` on the set the generators span (see :class:`ConvexSet`)."""
+    dists = list(dict.fromkeys(gens))
+    if not dists:
         raise ValueError("generator set must be non-empty")
-    return d in ConvexSet._lazy(points, False)
+    return d in ConvexSet._lazy(*_over_frame(dists), False)
 
 
-def _separation(base: PartialBase, b: List[int], den: int) -> Optional[List[int]]:
+def _over_frame(dists: Sequence[Dist]) -> Tuple[tuple, List[tuple]]:
+    """The sorted union of the atoms of ``dists``, and each one's point over it."""
+    nums = [d.nums for d in dists]
+    zeros = atom_zeros(nums)
+    return tuple(zeros), columns(nums, zeros)
+
+
+def _embedded(s: "ConvexSet", zeros: dict) -> List[tuple]:
+    """``s``'s points over the atoms of ``zeros``; one on an atom outside them comes out longer."""
+    return columns([{a: n for a, n in zip(s._atoms, p) if n} for p in s._points], zeros)
+
+
+def _framed(s1: "ConvexSet", s2: "ConvexSet") -> Tuple[tuple, Sequence[tuple], Sequence[tuple]]:
+    """One frame for two sets, theirs if they share it, else its union, and each one's points over it."""
+    if s1._atoms == s2._atoms:
+        return s1._atoms, s1._points, s2._points
+    zeros = atom_zeros([s1._atoms, s2._atoms])
+    return tuple(zeros), _embedded(s1, zeros), _embedded(s2, zeros)
+
+
+def _separation(base: PartialBase, b: Sequence[int], den: int) -> Optional[List[int]]:
     """A functional separating the column ``b`` (denominator ``den``) from
     the hull of the columns of ``base``, or None when ``b`` lies inside.
 
@@ -78,7 +94,7 @@ def _separation(base: PartialBase, b: List[int], den: int) -> Optional[List[int]
     return base.separation(b)
 
 
-def _lex_above(q: List[int], qden: int, r: List[int], rden: int) -> bool:
+def _lex_above(q: tuple, qden: int, r: tuple, rden: int) -> bool:
     """Is the column ``q`` heavier than ``r`` on the first atom, in sorted
     order, where their weights differ?"""
     for a, b in zip(q, r):
@@ -88,7 +104,7 @@ def _lex_above(q: List[int], qden: int, r: List[int], rden: int) -> bool:
     return False
 
 
-def _farthest(cols: List[List[int]], dens: List[int], pending: List[int], y: List[int]) -> int:
+def _farthest(cols: Sequence[tuple], dens: List[int], pending: List[int], y: List[int]) -> int:
     """The index in ``pending`` of the column q maximising ``y·q`` over its
     denominator, ties going to the lexicographic maximum; that point is a
     vertex of the face of the pending points' hull on which ``y`` is
@@ -105,17 +121,15 @@ def _farthest(cols: List[List[int]], dens: List[int], pending: List[int], y: Lis
     return best
 
 
-def _extract_base(dists: List[Dist]) -> Tuple[List[Dist], Optional[PartialBase]]:
-    """The extreme points of ``dists``, in their given order, and the
+def _extract_base(points: List[tuple]) -> Tuple[List[tuple], Optional[PartialBase]]:
+    """The extreme points of ``points``, in their given order, and the
     :class:`PartialBase` of their columns that the extraction ended with
     (None for two or fewer points, which need no test).
 
-    ``dists`` must be deduplicated. This is Clarkson's output-sensitive
-    loop over a partial base E, which keeps an invariant: E holds only
-    extreme points, and every point dropped lies in the hull of E. So the
-    pending points and E always generate the whole hull. Every test reads
-    the integer columns that :func:`columns` builds once, over the sorted
-    union of the atoms.
+    ``points``, distinct and over one frame, are the columns. This is
+    Clarkson's output-sensitive loop over a partial base E, which keeps an
+    invariant: E holds only extreme points, and every point dropped lies in
+    the hull of E, so the pending points and E generate the whole hull.
 
     E starts with the lexicographic maximum, which is extreme. Then the last
     pending point p is tested against E alone: by the per-atom bounds, then
@@ -130,32 +144,30 @@ def _extract_base(dists: List[Dist]) -> Tuple[List[Dist], Optional[PartialBase]]
     so over the whole hull y is largest at pending points only. The pending
     point with the largest ``y·q`` (ties to the lexicographic maximum) is a
     vertex of that face, hence extreme; it joins E, and p is tested again.
-    Each test drops a point or grows E, so at most ``len(dists) - 1`` tests
-    run, each over |E| columns. Every point lies in the hull of E at the
-    end, so E has all the atoms of ``dists``: the rows of its columns.
+    Each test drops a point or grows E, so at most ``len(points) - 1``
+    tests run, each over |E| columns.
     """
-    if len(dists) <= 2:  # distinct points are the ends of their segment
-        return dists, None
-    base = PartialBase(atom_zeros(dists))
-    cols = columns(dists, base.zeros)
-    dens = [d.den for d in dists]
-    pending = list(range(len(dists)))
-    extreme = [False] * len(dists)
+    if len(points) <= 2:  # distinct points are the ends of their segment
+        return points, None
+    base = PartialBase(len(points[0]))
+    dens = [sum(p) for p in points]
+    pending = list(range(len(points)))
+    extreme = [False] * len(points)
     # The lexicographic maximum has the largest weight on the least atom.
-    y = [1] + [0] * (len(cols[0]) - 1)
+    y = [1] + [0] * (len(points[0]) - 1)
     while True:
-        i = _farthest(cols, dens, pending, y)
+        i = _farthest(points, dens, pending, y)
         pending.remove(i)
         extreme[i] = True
-        base.add(cols[i], dens[i])
+        base.add(points[i], dens[i])
         while pending:
             p = pending[-1]
-            y = _separation(base, cols[p], dens[p])
+            y = _separation(base, points[p], dens[p])
             if y is not None:
                 break
             pending.pop()
         if not pending:
-            return [d for d, keep in zip(dists, extreme) if keep], base
+            return [p for p, keep in zip(points, extreme) if keep], base
 
 
 class ConvexSet:
@@ -163,64 +175,71 @@ class ConvexSet:
 
     The constructor accepts any non-empty iterable of generators and
     canonicalizes at once: duplicates collapse, generators inside the hull
-    of the others are dropped, and the survivors are kept sorted. Two sets
-    built from different generator lists compare equal exactly when they
-    generate the same hull.
+    of the others are dropped, and the survivors, the ``Dist`` values given,
+    are kept sorted. Two sets built from different generator lists compare
+    equal exactly when they generate the same hull. Inside, a set holds a
+    frame ``_atoms``, sorted atoms, and its points ``_points`` as integer
+    tuples over it; ``base`` makes ``Dist`` values of them when first read.
 
     :func:`convex_union` and :func:`minkowski` build a set lazily: it holds
     distinct generators, and whether they are known to be its base, until
-    ``base`` is first read, directly or by hashing, ordering, iteration,
-    ``len``, ``repr`` or pickling. Then it extracts, by way of the
-    constructor, or only sorts points known to be the base. ``==``
-    with such a side reads the other side's base B and tests the
-    generators against it, by the uniqueness of the base: equal exactly
-    when every element of B is a generator and every other generator lies
-    in the hull of B. Then B becomes the lazy side's base too.
+    it is extracted, by way of the constructor, before a mix, at ``==`` or
+    when ``base`` is first read. ``==`` with such a side extracts the
+    other side's base B and tests the generators against it, by the
+    uniqueness of the base: equal exactly when every element of B is a
+    generator and every other generator lies in the hull of B. Then B
+    becomes the lazy side's base too.
 
     ``in`` is the one membership test; :func:`member_of_hull` and ``==``
-    ask it. A value that is not a ``Dist``, a point the set holds and an
-    atom that none of its points has answer at once. Every other test
-    answers from the one basis the set keeps: the one its extraction ended
-    with, or else, built at the first such test and kept, a basis of the
-    points it holds, which generate the same hull.
+    ask it. A value that is not a ``Dist``, an atom outside the frame and
+    a point the set holds answer at once. Every other test answers from
+    the one basis the set keeps: the one its extraction ended with, or
+    else, built at the first such test and kept, a basis of the points it
+    holds, which generate the same hull.
 
-    Lazy generators are a list, not a tuple: CPython sizes a tuple built
-    from a generator by a guess and resizes it, then frees it onto the free
-    list of its final size, so those lists fill up over a long run. With
-    tuples there, peak RSS rose by 1 MB over a hundred rounds of
-    ``eq-random``.
+    Lazy generators are a list: as tuples sized by a guess, they filled CPython's free lists (+1 MB RSS).
     """
 
-    __slots__ = ("_points", "_extreme", "_base", "_hull")
+    __slots__ = ("_atoms", "_points", "_extreme", "_base", "_hull")
 
     def __init__(self, generators: Iterable[Dist]):
-        gens = sorted(set(generators))
+        # Dists, or (frame, point) pairs over one frame: every extraction runs here.
+        gens = list(generators)
         if not gens:
             raise ValueError("a convex set needs at least one generator")
-        base, self._hull = _extract_base(gens)
-        self._base = self._points = tuple(base)
-        self._extreme = True
+        if isinstance(gens[0], Dist):
+            atoms, points = _over_frame(gens)
+            dists = dict(zip(points, gens))
+        else:
+            atoms, dists, points = gens[0][0], None, [p for _, p in gens]
+        base, self._hull = _extract_base(list(dict.fromkeys(points)))
+        self._atoms, self._points, self._extreme = atoms, base, True
+        self._base = None if dists is None else tuple(sorted(dists[p] for p in base))
 
     @classmethod
-    def _lazy(cls, points: Sequence[Dist], extreme: bool) -> "ConvexSet":
-        """The set generated by the distinct ``points``; ``extreme`` says
-        they are known to be its base, as two or fewer always are."""
+    def _lazy(cls, atoms: tuple, points: List[tuple], extreme: bool) -> "ConvexSet":
+        """The set generated by the distinct ``points`` over ``atoms``; ``extreme``
+        says they are known to be its base, as two or fewer always are."""
         s = cls.__new__(cls)
-        s._points = points
+        s._atoms, s._points = atoms, points
         s._extreme = extreme or len(points) <= 2
         s._base = s._hull = None
         return s
 
+    def _extract(self) -> "ConvexSet":
+        """The set, keeping only its extreme points, extracted by the constructor."""
+        if not self._extreme:
+            done = ConvexSet([(self._atoms, p) for p in self._points])
+            self._points, self._hull, self._extreme = done._points, done._hull, True
+        return self
+
     @property
     def base(self) -> Tuple[Dist, ...]:
         if self._base is None:
-            if self._extreme:
-                self._base = tuple(sorted(self._points))
-            else:
-                extracted = ConvexSet(self._points)
-                self._base, self._hull = extracted._base, extracted._hull
-            self._points = self._base
-            self._extreme = True
+            self._extract()
+            if self._base is None:
+                self._base = tuple(sorted([Dist.__new__(Dist)._store(sum(p), dict(zip(self._atoms, p)))
+                                           for p in self._points]))
         return self._base
 
     def __iter__(self):
@@ -232,27 +251,32 @@ class ConvexSet:
     def __contains__(self, d) -> bool:
         if not isinstance(d, Dist):
             return False
-        if d in self._points:
-            return True
-        hull = self._hull
-        # The rows of a basis are all the atoms of the points it spans.
-        zeros = atom_zeros(self._points) if hull is None else hull.zeros
+        zeros = dict.fromkeys(self._atoms, 0)
         if not zeros.keys() >= d.nums.keys():
             return False
+        zeros.update(d.nums)  # d's integers over the frame: its point
+        b = tuple(zeros.values())
+        return b in self._points or self._holds(b, d.den)
+
+    def _holds(self, b: tuple, den: int) -> bool:
+        """Is the point ``b``, with sum ``den``, in the hull? By the basis the set keeps, built if none."""
+        hull = self._hull
         if hull is None:
-            self._hull = hull = PartialBase(zeros)
-            for c, p in zip(columns(self._points, zeros), self._points):
-                hull.add(c, p.den)
-        return _separation(hull, columns([d], zeros)[0], d.den) is None
+            self._hull = hull = PartialBase(len(self._atoms))
+            for p in self._points:
+                hull.add(p, sum(p))
+        return _separation(hull, b, den) is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
             return NotImplemented
-        if other._base is None and not other._extreme:
+        if not other._extreme:
             return other._generated_by(self)
-        if self._base is None and not self._extreme:
+        if not self._extreme:
             return self._generated_by(other)
-        return self.base == other.base
+        if self._atoms != other._atoms:  # atoms that need not sort together
+            return self.base == other.base
+        return len(self._points) == len(other._points) and set(self._points) == set(other._points)
 
     def _generated_by(self, other: "ConvexSet") -> bool:
         """Is ``other``'s base the base of the hull of this set's points? If
@@ -260,18 +284,17 @@ class ConvexSet:
 
         Every generating set of a hull contains the hull's unique base, so
         the points generate the hull of ``base`` exactly when they include
-        ``base`` and the others lie in its hull. A missing element answers
-        no before any column is built; ``in`` on ``other`` tests the others,
-        from the one basis ``other`` keeps.
-        """
-        base = other.base
+        ``base`` and the others lie in its hull. A missing element, or a point on
+        an atom outside ``other``'s frame, answers no before its basis is read."""
+        other._extract()
+        atoms, base = other._atoms, other._points
+        points = self._points if self._atoms == atoms else _embedded(self, dict.fromkeys(atoms, 0))
         extreme = set(base)
-        if not extreme.issubset(self._points):
+        if not extreme.issubset(points):
             return False
-        if not all(p in other for p in self._points if p not in extreme):
+        if not all(len(p) == len(atoms) and other._holds(p, sum(p)) for p in points if p not in extreme):
             return False
-        self._base = self._points = base
-        self._extreme = True
+        self._atoms, self._points, self._hull, self._base, self._extreme = atoms, base, other._hull, other._base, True
         return True
 
     def __lt__(self, other) -> bool:
@@ -291,8 +314,9 @@ class ConvexSet:
         return f"ConvexSet({list(self.base)!r})"
 
     def __reduce__(self):
-        # A base is already extreme, so rebuilding skips extraction.
-        return ConvexSet._lazy, (self.base, True)
+        # The extreme points over the frame: rebuilding skips extraction.
+        self._extract()
+        return ConvexSet._lazy, (self._atoms, list(self._points), True)
 
 
 def unique_base(gens: Iterable[Dist]) -> ConvexSet:
@@ -308,31 +332,31 @@ def from_generators(gens: Iterable[Dist]) -> ConvexSet:
 def convex_union(s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
     """Hull of the union of two convex sets, generated lazily by the
     order-preserving deduplicated concatenation of their points."""
-    return ConvexSet._lazy(list(dict.fromkeys([*s1._points, *s2._points])), False)
+    atoms, a, b = _framed(s1, s2)
+    return ConvexSet._lazy(atoms, list(dict.fromkeys([*a, *b])), False)
 
 
 def mix_sets(p: Fraction, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
     """The p-mix of two convex sets, ``p`` known to lie in (0,1), generated
-    lazily by the pairwise mixes (:func:`mix2`) of both sides' bases when
-    both hold two or more points, extracting a side only when its points
-    are not known to be its base. With a one-point side ``c``,
+    lazily by the pairwise mixes (:func:`~csl.distributions.mix_points`) of
+    both sides' bases when both hold two or more points, extracting a side
+    only when its points are not known to be its base. With a one-point side ``c``,
     ``x -> p*x + q*c`` (or ``q*x + p*c``) is an injective affine map, so the
     mixes are distinct, and the image of a base is a base.
     """
     if len(s1._points) > 1 and len(s2._points) > 1:
-        a, b = (s._points if s._extreme else s.base for s in (s1, s2))
-        return ConvexSet._lazy(list(dict.fromkeys(mix2(p, x, y) for x in a for y in b)), False)
-    mixes = [mix2(p, x, y) for x in s1._points for y in s2._points]
-    return ConvexSet._lazy(mixes, s1._extreme and s2._extreme)
+        atoms, a, b = _framed(s1._extract(), s2._extract())
+        return ConvexSet._lazy(atoms, list(dict.fromkeys(mix_points(p, a, b))), False)
+    atoms, a, b = _framed(s1, s2)
+    return ConvexSet._lazy(atoms, mix_points(p, a, b), s1._extreme and s2._extreme)
 
 
 def minkowski(p: Rational, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
     """Elementwise p-weighted mixture of two convex sets.
 
-    Mixing the hulls equals the hull of the pairwise mixes, each one
-    integer step (:func:`mix2`), so the result is generated by those
-    (:func:`mix_sets`). With a one-point side the mixes are already the
-    base, up to order, and nothing is ever extracted.
+    Mixing the hulls equals the hull of the pairwise mixes, so the result
+    is generated by those (:func:`mix_sets`). With a one-point side the
+    mixes are already the base, up to order, and nothing is ever extracted.
     """
     p = exact(p)
     if not 0 < p < 1:
@@ -342,7 +366,13 @@ def minkowski(p: Rational, s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
 
 def c_unit(atom: Atom) -> ConvexSet:
     """The singleton convex set on a Dirac distribution."""
-    return ConvexSet._lazy([d_unit(atom)], True)
+    return ConvexSet._lazy((atom,), [(1,)], True)
+
+
+def unit_sets(atoms: Iterable[Atom]) -> dict:
+    """Each atom's singleton convex set, all over one frame, the atoms sorted."""
+    frame = tuple(sorted(atoms))
+    return {a: ConvexSet._lazy(frame, [tuple([int(a == b) for b in frame])], True) for a in frame}
 
 
 def c_map(f: Callable[[Atom], Atom], s: ConvexSet) -> ConvexSet:
@@ -360,23 +390,30 @@ def c_mult(s: ConvexSet) -> ConvexSet:
     ``s`` must have base elements that are distributions whose atoms are
     themselves ``ConvexSet`` values (a ``TypeError`` otherwise). Flattening
     one such phi interprets its canonical p-term in the set algebra: the
-    weighted Minkowski sum of its inner sets, a chain of :func:`mix_sets`
-    at :func:`~csl.terms.kappa_p`'s prefix-sum probabilities, read off
-    phi's stored integers. The inner sets enter smallest first (a stable
-    sort, so ties keep canonical order), and :func:`mix_sets` extracts the
-    chain so far before mixing it with a set of two or more points. The
-    flattening is the hull of every chain's points, extracted at once.
+    weighted Minkowski sum of its inner sets, all over one frame, a chain
+    of :func:`mix_sets` at :func:`~csl.terms.kappa_p`'s prefix-sum
+    probabilities, read off phi's integers. They enter smallest first (a
+    stable sort: ties keep canonical order), and :func:`mix_sets` extracts
+    the chain so far before mixing it with a set of two or more points.
+    The flattening is the hull of every chain's points, extracted at once.
     """
-    points: List[Dist] = []
     for phi in s.base:
         if not all(isinstance(u, ConvexSet) for u in phi.nums):
             raise TypeError(f"c_mult needs distributions over convex sets, got {phi!r}")
-        (acc, prefix), *rest = sorted(phi.nums.items(), key=lambda un: len(un[0]))
+    inner = {u for phi in s.base for u in phi.nums}
+    zeros = atom_zeros([u._atoms for u in inner])
+    atoms = tuple(zeros)
+    framed = {u: ConvexSet._lazy(atoms, _embedded(u, zeros), True) for u in inner}
+    points: List[tuple] = []
+    for phi in s.base:
+        (acc, prefix), *rest = sorted([(framed[u], n) for u, n in phi.nums.items()], key=lambda un: len(un[0]._points))
         for u, n in rest:
             acc = mix_sets(Fraction(prefix, prefix + n), acc, u)
             prefix += n
         points += acc._points
-    return ConvexSet(points)
+    flat = ConvexSet([(atoms, p) for p in points])
+    flat.base  # the Dist values too, in the call
+    return flat
 
 
 # --- JSON encoding ----------------------------------------------------------

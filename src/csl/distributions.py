@@ -192,6 +192,21 @@ def mix2(p: Fraction, a: Dist, b: Dist) -> Dist:
     return Dist.__new__(Dist)._store(p.denominator * den, acc)
 
 
+def mix_points(p: Fraction, a: Iterable[Tuple[int, ...]], b: Iterable[Tuple[int, ...]]) -> list:
+    """:func:`mix2` of every x of ``a`` with every y of ``b``, row-major, on points held as
+    integer tuples over one frame of atoms, gcd 1, summing to their denominators."""
+    qn = p.denominator - p.numerator
+    b = [(y, p.numerator * sum(y)) for y in b]
+    out = []
+    for x in a:
+        kx = qn * sum(x)
+        for y, ky in b:
+            z = [u * ky + v * kx for u, v in zip(x, y)]
+            g = gcd(*z)
+            out.append(tuple([n // g for n in z]) if g > 1 else tuple(z))
+    return out
+
+
 def d_map(f: Callable[[Atom], Atom], d: Dist) -> Dist:
     """Push a distribution forward along a function on atoms.
 

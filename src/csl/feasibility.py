@@ -1,9 +1,9 @@
 """Exact convex-hull membership on integer columns, with checked answers.
 
-:func:`columns` is the one place that turns distributions into a linear
-program. Every ``Dist`` is stored in integer form: D, the lcm of its
-weights' denominators, and the integers ``w * D``, which sum to D; its
-column holds those integers over the sorted union of the atoms. The
+:func:`columns` is the one converter into columns: every ``Dist`` is
+stored as D, the lcm of its weights' denominators, and the integers
+``w * D``, summing to D, and its column holds them over a sorted atom
+frame. A set's points are such columns already (``csl.convexsets``). The
 question is whether ``d = sum_j alpha_j g_j`` with ``alpha >= 0`` and
 ``sum_j alpha_j = 1``. Substituting ``beta_j = alpha_j * D_d / D_j`` turns
 each atom's equation into
@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _simplex_py as _kernel
 from .distributions import Dist
@@ -46,18 +46,18 @@ def kernel_name() -> str:
     return "python"
 
 
-def atom_zeros(points: Sequence[Dist]) -> Dict:
-    """The sorted union of the atoms of ``points``, each mapped to 0."""
-    return dict.fromkeys(sorted(set().union(*[p.nums for p in points])), 0)
+def atom_zeros(frames: Sequence[Iterable]) -> Dict:
+    """The sorted union of the atoms of ``frames`` (atom tuples or dicts), each mapped to 0."""
+    return dict.fromkeys(sorted(set().union(*frames)), 0)
 
 
-def columns(points: Sequence[Dist], zeros: Optional[Dict] = None) -> List[List[int]]:
-    """Each point's column of the hull matrix: its stored integers over the
-    sorted atoms of ``zeros`` (:func:`atom_zeros`, by default of ``points``),
-    which must include every atom of ``points``."""
+def columns(points: Sequence[Dict], zeros: Optional[Dict] = None) -> List[Tuple[int, ...]]:
+    """Each point's column of the hull matrix: its integers, a dict from
+    atoms, over the sorted atoms of ``zeros`` (:func:`atom_zeros`, by
+    default of ``points``), which must include every atom of ``points``."""
     zeros = atom_zeros(points) if zeros is None else zeros
     # The union keeps the sorted order of ``zeros`` and takes p's integers.
-    return [list((zeros | p.nums).values()) for p in points]
+    return [tuple((zeros | p).values()) for p in points]
 
 
 def verified(cols: Sequence[List[int]], b: List[int], x, y):
@@ -85,24 +85,22 @@ def simplex(cols: Sequence[List[int]], b: List[int]):
 
 
 class PartialBase(_kernel.Basis):
-    """The columns ``cols`` of a growing point set E over the sorted atoms
-    of ``zeros`` (:func:`atom_zeros`), their denominators ``dens``, and the
-    test of a column against the hull of E: the answer of its
-    :class:`csl._simplex_py.Basis`, once :func:`verified` accepts it."""
+    """The columns ``cols`` of a growing point set E over m atoms, their
+    denominators ``dens``, and the test of a column against the hull of E:
+    its :class:`csl._simplex_py.Basis`'s answer, once :func:`verified` accepts it."""
 
-    __slots__ = ("zeros", "dens")
+    __slots__ = ("dens",)
 
-    def __init__(self, zeros: Dict):
-        super().__init__(len(zeros))
-        self.zeros = zeros
+    def __init__(self, m: int):
+        super().__init__(m)
         self.dens: List[int] = []
 
-    def add(self, c: List[int], den: int) -> None:
+    def add(self, c: Sequence[int], den: int) -> None:
         """Append the column c, of a point with denominator ``den``, to E."""
         super().add(c)
         self.dens.append(den)
 
-    def separation(self, b: List[int]) -> Optional[List[int]]:
+    def separation(self, b: Sequence[int]) -> Optional[List[int]]:
         """None when ``b`` is in the hull of E; otherwise a verified Farkas
         vector y, one integer per row, with ``y·b > 0 >= y·e`` on E."""
         return verified(self.cols, b, *self.answer(b))[1]
@@ -119,7 +117,7 @@ def hull_coefficients(d: Dist, gens: Iterable[Dist]) -> Optional[List[Fraction]]
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("generator set must be non-empty")
-    cols = columns([*gen_list, d])
+    cols = columns([g.nums for g in [*gen_list, d]])
     x, _ = simplex(cols[:-1], cols[-1])
     if x is None:
         return None

@@ -34,9 +34,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .convexsets import ConvexSet, c_unit, convex_union, mix_sets
+from .convexsets import ConvexSet, convex_union, mix_sets, unit_sets
 from .distributions import Dist, Rational, d_unit, exact, mix2
 from .errors import InvalidProbability, ParseError
 
@@ -405,9 +405,17 @@ def _extracted(s: ConvexSet) -> ConvexSet:
 
 
 def iota(t: Term) -> ConvexSet:
-    """Interpret a term as the convex set it denotes."""
-    units: Dict[str, ConvexSet] = {}  # each atom's one-point set, built once per call
-    return evaluate(t, lambda atom: units[atom] if atom in units else units.setdefault(atom, c_unit(atom)))
+    """Interpret a term as the convex set it denotes, every atom's one-point
+    set over one frame, the term's sorted atoms, so nothing re-embeds."""
+    atoms, seen, stack = set(), set(), [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            atoms.add(node.atom)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += (node.left, node.right)
+    return evaluate(t, unit_sets(atoms).__getitem__)
 
 
 def kappa_p(d: Dist) -> Term:

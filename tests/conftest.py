@@ -52,9 +52,9 @@ def bases_built(monkeypatch):
     built = []
 
     class CountedBasis(convexsets.PartialBase):
-        def __init__(self, zeros):
-            built.append(len(zeros))
-            super().__init__(zeros)
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
 
     monkeypatch.setattr(convexsets, "PartialBase", CountedBasis)
     return built

@@ -16,6 +16,9 @@ one distribution phi over sets has ``sum_u phi(u) * h_u(y)``, and that of a
 set of them the max over its base (:func:`h_flattened`).
 """
 
+from fractions import Fraction
+
+from csl import dist_make
 from csl.terms import fold
 
 
@@ -38,6 +41,12 @@ def axes(atoms):
 def h_points(points, y):
     """The support function of the hull of ``points`` in the direction ``y``."""
     return max(dot(y, x) for x in points)
+
+
+def held_dists(s):
+    """The distributions the set ``s`` holds, read off its integer points
+    over its frame, without extracting its base."""
+    return [dist_make([(a, Fraction(n, sum(p))) for a, n in zip(s._atoms, p)]) for p in s._points]
 
 
 def h_flattened(s, y):

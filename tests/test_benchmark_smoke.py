@@ -4,10 +4,13 @@
 ``from_generators``, ``convexsets.hull_coefficients``) and checks every
 output independently, so a library change that breaks what it reads, or an
 answer its checks reject, fails here rather than only in a benchmark run.
-Each workload runs once untimed (``--trace 0``) and once traced
+Each in-process workload runs once untimed (``--trace 0``) and once traced
 (``--trace 1``): the tracer in ``perfbench/spans.py`` patches library
 functions by name (``hull_witness``, ``member_of_hull``, ``rewrite_step``
 and more), so a change that removes or renames one of them fails here too.
+The ``cli`` workload runs once untimed: one round starts ``csl eval``,
+``eq``, ``normalize``, ``canon`` and ``base`` as child processes and checks
+their outputs end to end, the only workload that does.
 """
 
 import json
@@ -24,7 +27,7 @@ WORKLOADS = ["eq-random", "normalize-wide", "sets-base"]
 @pytest.mark.parametrize("workload, trace", [
     pytest.param(workload, trace, id=workload + ("-traced" if trace else ""))
     for trace in (0, 1) for workload in WORKLOADS
-])
+] + [pytest.param("cli", 0, id="cli")])
 def test_one_round_of_the_workload_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),

@@ -34,12 +34,13 @@ from csl import (
     unique_base,
 )
 from csl import _simplex_py
-from csl.convexsets import _extract_base
-from csl.distributions import dist_to_obj, mix2
+from csl.convexsets import _extract_base, _over_frame
+from csl.distributions import dist_to_obj, mix2, mix_points
 from csl.errors import DecodeError
 
+from fm_oracle import member_of_hull_fm
 from genrandom import convex, dist, genset, nested, nested3, prob, term, weights
-from support_oracle import axes, h_flattened, h_points
+from support_oracle import axes, h_flattened, h_points, held_dists
 
 F = Fraction
 HALF = F(1, 2)
@@ -73,10 +74,11 @@ def test_member_missing_atom_weight(monkeypatch):
     # every combination of the generators keeps z-mass at least 1/2 * alpha_1
     # and never produces mass on y
     assert not member_of_hull(XY, [XZ, DZ])
-    # An atom no generator has answers no before any column is built, so
-    # atoms of another type need not sort with the generators' atoms.
+    # An atom outside the frame answers no before the point's column is
+    # built, so atoms of another type need not sort with the set's atoms.
+    s = ConvexSet._lazy(("x", "z"), [(1, 1), (0, 1)], False)
     monkeypatch.setattr("csl.convexsets.columns", None)
-    assert not member_of_hull(XY, [XZ, DZ])
+    assert XY not in s
     assert Dist([(1, 1)]) not in c_unit("a")
 
 
@@ -478,10 +480,10 @@ def test_a_wide_flattening_mixes_polynomially_and_keeps_the_support(monkeypatch,
     mixes = []
 
     def counting(p, a, b):
-        mixes.append(p)
-        return mix2(p, a, b)
+        mixes.extend([p] * (len(a) * len(b)))
+        return mix_points(p, a, b)
 
-    monkeypatch.setattr("csl.convexsets.mix2", counting)
+    monkeypatch.setattr("csl.convexsets.mix_points", counting)
     extractions.clear()
     flat = c_mult(s).base
     # the full product would mix 3**9 picks and extract them at once
@@ -588,8 +590,9 @@ def test_extraction_matches_the_one_sweep_reference(hull_answers):
         dists = sorted(set(extraction_instance(rng, kind)))
         want = one_sweep_extract_base(dists)
         hull_answers.clear()
-        got, _ = _extract_base(dists)
-        assert got == want, kind
+        atoms, points = _over_frame(dists)
+        got, _ = _extract_base(points)
+        assert got == [points[dists.index(d)] for d in want], kind
         # at most one test per point but the first, each over part of the base
         assert len(hull_answers) <= len(dists) - 1
         assert all(ncols <= len(want) for _, ncols in hull_answers)
@@ -692,7 +695,12 @@ def test_the_timed_constructors_extract_at_once(monkeypatch):
     def extracting(dists):
         raise AssertionError("a built set extracted its base when read")
 
+    def storing(self, den, ints):
+        raise AssertionError("a built set made a Dist of its base when read")
+
+    # Nor may the Dist values of the base be left to build from the points.
     monkeypatch.setattr("csl.convexsets._extract_base", extracting)
+    monkeypatch.setattr(Dist, "_store", storing)
     for s in built:
         assert s.base
 
@@ -702,7 +710,7 @@ def test_the_timed_constructors_extract_at_once(monkeypatch):
 
 def lazy(gens):
     """The set of ``gens`` as a union builds it: generators, no base yet."""
-    return ConvexSet._lazy(list(dict.fromkeys(gens)), False)
+    return ConvexSet._lazy(*_over_frame(list(dict.fromkeys(gens))), False)
 
 
 def is_lazy(s):
@@ -806,10 +814,10 @@ def test_equality_tests_against_the_basis_the_other_side_kept(bases_built):
         if kept is not None:  # the extraction's basis answered
             assert bases_built == [] and extracted._hull is kept
         # a side that kept no basis builds one of its base's columns and keeps it
-        unextracted = ConvexSet._lazy(extracted.base, True)
+        unextracted = ConvexSet._lazy(*_over_frame(extracted.base), True)
         bases_built.clear()
         assert (unextracted == lazy(gens2)) == want
-        assert bases_built == ([] if unextracted._hull is None else [len(unextracted._hull.zeros)])
+        assert bases_built == ([] if unextracted._hull is None else [len(unextracted._atoms)])
         fallbacks += bool(bases_built)
         bases_built.clear()
         assert (unextracted == lazy(gens2)) == want and bases_built == []
@@ -861,7 +869,7 @@ def test_decide_eq_extracts_one_root(extractions, hull_answers):
         s1, s3 = iota(t1), iota(term(rng, 4))
         s1.base
         hull_answers.clear()
-        if is_lazy(s3) and not set(s1.base) <= set(s3._points):
+        if is_lazy(s3) and not set(s1.base) <= set(held_dists(s3)):
             assert s1 != s3 and s3 != s1
             assert hull_answers == []
             refuted += 1
@@ -876,7 +884,7 @@ def test_equality_raises_on_an_answer_that_fails_its_check(monkeypatch, answer):
     triangle, centroid, outside = rotated_triangle()
     monkeypatch.setattr(_simplex_py.Basis, "answer", answer)
     for point in (centroid, outside):
-        known = ConvexSet._lazy(triangle, True)  # built without an extraction
+        known = ConvexSet._lazy(*_over_frame(triangle), True)  # built without an extraction
         with pytest.raises(ArithmeticError):
             known == lazy(triangle + [point])
 
@@ -895,6 +903,98 @@ def test_mixing_two_sets_known_to_be_bases_extracts_neither():
         assert s1._base is None and s2._base is None
         assert mixed == eager_mix(p, s1, s2)
     assert two_sided > 15
+
+
+# --- sets over different frames ------------------------------------------------------
+#
+# A set holds its points over its own frame of atoms; sets over different
+# frames meet in the union frame. The specification is the Dist level:
+# mix2 on every pair, ConvexSet of the concatenation, Fourier-Motzkin for in.
+
+FRAMES = ("uvw", "vwx", "wxy", "xyz")
+
+
+def widened(gens, extra="q"):
+    """The set of ``gens`` as a union builds it, over a frame with one more
+    atom, which no point weighs."""
+    atoms, points = _over_frame(list(dict.fromkeys(gens)) + [d_unit(extra)])
+    return ConvexSet._lazy(atoms, points[:-1], False)
+
+
+def probes(rng, base):
+    """Points inside the hull of ``base``, anywhere over the frames' atoms,
+    and on an atom outside every frame."""
+    inside = [convex_combine(weights(rng, k), rng.sample(base, k)) for k in (1, len(base))]
+    return inside + [dist(rng, atoms="uvwxyz") for _ in range(3)] + [mix2(HALF, base[0], d_unit("r"))]
+
+
+def test_sets_over_different_atoms_agree_with_the_dist_specification(hull_answers):
+    rng = Random(4352)
+    reframed = 0
+    while reframed < 200:
+        g1, g2 = (genset(rng, atoms=rng.choice(FRAMES), max_gens=3) for _ in range(2))
+        p = prob(rng)
+        want_union = ConvexSet(g1 + g2)
+        want_mix = ConvexSet([mix2(p, x, y) for x in g1 for y in g2])
+        if len(want_mix.base) > 4:  # Fourier-Motzkin grows exponentially with the points
+            continue
+        queries = {id(want): probes(rng, list(want.base)) for want in (want_union, want_mix)}
+        wants = {key: [member_of_hull_fm(d, want.base) for d in queries[key]]
+                 for key, want in ((id(want_union), want_union), (id(want_mix), want_mix))}
+        for make1, make2 in ((ConvexSet, ConvexSet), (lazy, lazy), (lazy, ConvexSet), (widened, ConvexSet),
+                             (ConvexSet, widened)):
+            s1, s2 = make1(g1), make2(g2)
+            reframed += s1._atoms != s2._atoms
+            for got, want in ((convex_union(s1, s2), want_union), (minkowski(p, s1, s2), want_mix)):
+                # in first, then ==, from the points the set holds; its base last
+                assert [d in got for d in queries[id(want)]] == wants[id(want)]
+                hull_answers.clear()
+                assert d_unit("r") not in got and hull_answers == []  # outside the frame: at once
+                assert got == want and want == got
+                assert [(d.den, list(d.nums.items())) for d in got.base] == \
+                    [(d.den, list(d.nums.items())) for d in want.base]
+            assert (s1 == s2) == (ConvexSet(g1).base == ConvexSet(g2).base)
+
+
+def test_equal_sets_over_different_frames_compare_equal():
+    rng = Random(4353)
+    for _ in range(60):
+        gens = genset(rng, atoms=rng.choice(FRAMES), max_gens=5)
+        base = list(ConvexSet(gens).base)
+        inner = [convex_combine(weights(rng, len(base)), base) for _ in range(2)]
+        outside = dist(rng, atoms="uvwxyz")
+        known = widened(gens)
+        known.base  # extracted, over its wider frame
+        for s1, s2 in ((widened(gens), ConvexSet(gens)), (ConvexSet(gens), widened(gens)),
+                       (lazy(gens + inner), known), (known, lazy(gens + inner))):
+            assert s1 == s2 and hash(s1) == hash(s2)
+        want = member_of_hull_fm(outside, base)
+        assert (lazy(gens + [outside]) == known) == want == (widened(gens + [outside]) == ConvexSet(gens))
+    # Frames whose atoms do not sort together: unequal, as their bases are.
+    names = [ConvexSet([DX]), convex_union(c_unit("x"), c_unit("y"))]
+    sets = [ConvexSet([d_unit(ConvexSet([DX]))]), convex_union(c_unit(ConvexSet([DX])), c_unit(ConvexSet([DY])))]
+    for s1, s2 in itertools.product(names, sets):
+        assert s1 != s2 and s2 != s1
+
+
+def test_flattening_inner_sets_over_different_atoms_is_the_full_product():
+    rng = Random(4354)
+    reframed = checked = 0
+    for _ in range(40):
+        pool = list(dict.fromkeys(convex(rng, atoms=rng.choice(FRAMES), max_gens=3) for _ in range(3)))
+        reframed += len({u._atoms for u in pool}) > 1
+        outer = []
+        for _ in range(rng.randint(1, 3)):
+            chosen = rng.sample(pool, rng.randint(1, len(pool)))
+            outer.append(dist_make(list(zip(chosen, weights(rng, len(chosen))))))
+        s = ConvexSet(outer)
+        got, want = c_mult(s), full_product(s)
+        assert [(d.den, list(d.nums.items())) for d in got.base] == [(d.den, list(d.nums.items())) for d in want.base]
+        if len(want.base) <= 4:  # Fourier-Motzkin grows exponentially with the points
+            checked += 1
+            for d in probes(rng, list(want.base)):
+                assert (d in got) == member_of_hull_fm(d, want.base)
+    assert reframed > 20 and checked > 15
 
 
 # --- JSON ---------------------------------------------------------------------------

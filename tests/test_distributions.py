@@ -21,7 +21,7 @@ from csl import (
     dist_make,
     dist_to_obj,
 )
-from csl.distributions import mix2, parse_weight
+from csl.distributions import mix2, mix_points, parse_weight
 from csl.errors import DecodeError
 
 F = Fraction
@@ -184,6 +184,22 @@ def test_mix2_examples(p, a, b):
     assert (got.den, list(got.nums.items()), hash(got)) == (want.den, list(want.nums.items()), hash(want))
     if a == b:
         assert got == a
+
+
+@given(st.data())
+def test_mix_points_is_mix2_on_every_pair_over_one_frame(data):
+    atoms = data.draw(st.sampled_from(ATOM_KINDS))
+    mass = st.one_of(st.integers(1, 9), st.integers(HUGE // 2, 2 * HUGE))
+    a, b = (data.draw(st.lists(dists(atoms, mass), min_size=1, max_size=3)) for _ in range(2))
+    den = data.draw(st.one_of(st.integers(2, 12), st.integers(HUGE, 3 * HUGE)))
+    p = F(data.draw(st.integers(1, den - 1)), den)
+    frame = sorted(atoms)
+
+    def point(d):  # d's stored integers over the frame
+        return tuple(d.nums.get(atom, 0) for atom in frame)
+
+    want = [point(mix2(p, x, y)) for x in a for y in b]
+    assert mix_points(p, [point(x) for x in a], [point(y) for y in b]) == want
 
 
 # --- map ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ fixture, whichever path answered them).
 """
 
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -21,7 +22,9 @@ from csl import (
     Mix,
     Or,
     c_unit,
+    convex_combine,
     convex_union,
+    d_unit,
     evaluate,
     iota,
     minkowski,
@@ -30,7 +33,8 @@ from csl import (
 from csl.convexsets import _extract_base
 from csl.distributions import mix2
 from csl.terms import fold
-from genrandom import convex, nested, prob, term
+from fm_oracle import member_of_hull_fm
+from genrandom import convex, dist, nested, prob, term, weights
 
 ATOMS = ("w", "x", "y", "z")
 THIRD = Fraction(1, 3)
@@ -101,6 +105,41 @@ def test_set_valuations_match_the_eager_fold(hull_answers, make):
         cases.append((term(rng, rng.randint(1, 4), ATOMS), env.__getitem__))
     lazy, eager = compare(cases, hull_answers)
     assert eager > 0 and lazy <= eager
+
+
+def test_valuations_over_different_atoms_match_the_dist_specification():
+    # Each atom's set lies over its own atoms, overlapping the others', so
+    # unions and mixes meet different frames and re-embed into their union.
+    rng = Random(9006)
+    pools = dict(zip(ATOMS, ("uvw", "vwx", "wxy", "xyz")))
+    checked = 0
+    for _ in range(80):
+        env = {a: convex(rng, atoms=pool, max_gens=3) for a, pool in pools.items()}
+        t = term(rng, rng.randint(1, 3), ATOMS)
+        want = eager_evaluate(t, env.__getitem__)
+        assert evaluate(t, env.__getitem__).base == want.base
+        if len(want.base) <= 4:  # Fourier-Motzkin grows exponentially with the points
+            checked += 1
+            base = list(want.base)
+            points = [convex_combine(weights(rng, len(base)), base), dist(rng, atoms="uvwxyz"), d_unit("q")]
+            for d in points:  # in on the set evaluate builds, before its base is read
+                assert (d in evaluate(t, env.__getitem__)) == member_of_hull_fm(d, base)
+    assert checked > 40
+
+
+def test_a_wide_choice_extracts_its_dirac_points_within_a_bound_on_memory():
+    # Each point is dense over the 150 atoms, as the hull matrix's columns
+    # are: the points must be those columns, not a second copy of them.
+    n = 150
+    t = parse_term("(or " + " ".join(f"a{i}" for i in range(n)) + ")")
+    tracemalloc.start()
+    try:
+        base = iota(t).base
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert base == tuple(sorted(d_unit(f"a{i}") for i in range(n)))
+    assert peak < 2**20, peak
 
 
 def test_a_leaf_and_a_base_mixed_with_a_point_solve_no_lp(hull_answers):

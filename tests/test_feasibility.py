@@ -15,6 +15,7 @@ from csl.distributions import ZERO
 from csl.feasibility import hull_coefficients, kernel_name
 
 from fm_oracle import member_of_hull_fm
+from support_oracle import held_dists
 from genrandom import convex, dist, genset, nested, prob, term, weights
 
 
@@ -232,14 +233,14 @@ def test_every_kind_of_set_keeps_one_basis_for_in(bases_built):
             held, lazy = s._hull, s._base is None
             bases_built.clear()
             # a point the set holds, or an atom none of its points has, builds none
-            assert s._points[0] in s and d_unit("u") not in s
+            assert held_dists(s)[0] in s and d_unit("u") not in s
             assert bases_built == [] and s._hull is held
             wants = in_gens if spanned is gens else [member_of_hull_fm(d, spanned) for d in queries]
             for _ in range(2):
                 assert [d in s for d in queries] == wants
             # at most one basis, kept, and no extraction
             assert len(bases_built) <= (held is None) and (s._base is None) == lazy
-            assert s._hull is held or bases_built == [len(s._hull.zeros)]
+            assert s._hull is held or bases_built == [len(s._atoms)]
             kept[name] += s._hull is not None
     assert all(n > 150 for n in kept.values()), kept
 
@@ -357,7 +358,7 @@ def test_the_echelon_form_answers_as_exact_elimination_and_fourier_motzkin():
     checked = 0
     for trial in range(300):
         atoms, points, target = independent_instance(rng, trial)
-        cols = feasibility.columns([*points, target])
+        cols = feasibility.columns([d.nums for d in [*points, target]])
         gens, b = cols[:-1], cols[-1]
         form = _simplex_py.Basis(len(b))
         for c in gens:
@@ -413,7 +414,7 @@ def test_the_basis_answers_as_caratheodory_and_fourier_motzkin_from_warm_starts(
         targets = [grid_point(rng, atoms, den) for _ in range(2)]
         targets += [convex_combine(weights(rng, k), rng.sample(points, k))
                     for k in (rng.randint(1, len(points)), len(points))]
-        cols = feasibility.columns([*points, *targets])
+        cols = feasibility.columns([d.nums for d in [*points, *targets]])
         basis = _simplex_py.Basis(len(cols[0]))
         for k, c in enumerate(cols[: len(points)], 1):
             basis.add(c)
@@ -442,9 +443,8 @@ def square(*atoms):
 
 def test_a_dependent_point_stays_nonbasic_and_the_basis_answers(hull_answers):
     corners, centre = square("a", "b", "c", "d")
-    zeros = feasibility.atom_zeros([*corners, centre])
-    cols = feasibility.columns([*corners, centre], zeros)
-    base = feasibility.PartialBase(zeros)
+    cols = feasibility.columns([d.nums for d in [*corners, centre]])
+    base = feasibility.PartialBase(len(cols[0]))
     paths = []
     for c, d in zip(cols[:4], corners):
         base.add(c, d.den)
@@ -467,7 +467,8 @@ def test_planted_extreme_points_are_extracted_without_the_simplex(hull_answers):
         inner = [convex_combine(weights(rng, len(planted)), planted) for _ in range(rng.randint(1, 6))]
         dists = sorted(set(planted + inner))
         hull_answers.clear()
-        assert convexsets._extract_base(dists)[0] == sorted(planted)
+        atoms, points = convexsets._over_frame(dists)
+        assert convexsets._extract_base(points)[0] == [points[dists.index(d)] for d in sorted(planted)]
         # every inner point is tested, and every test is answered by the basis
         assert {path for path, _ in hull_answers} == {"basis"}
 
@@ -496,7 +497,7 @@ def wrong_functional(rows, ncols):
 
 def column_simplex(d, gens):
     """The simplex path of an extraction, on the columns of ``gens`` and ``d``."""
-    cols = feasibility.columns([*gens, d])
+    cols = feasibility.columns([g.nums for g in [*gens, d]])
     return feasibility.simplex(cols[:-1], cols[-1])
 
 
@@ -538,7 +539,7 @@ def test_an_echelon_answer_that_fails_its_check_raises(monkeypatch, answer):
         with monkeypatch.context() as patched:
             patched.setattr(_simplex_py.Basis, "answer", wrong)
             with pytest.raises(ArithmeticError):
-                convexsets._extract_base(sorted(points))
+                convexsets._extract_base(convexsets._over_frame(sorted(points))[1])
     # member_of_hull answers from the basis that ``in`` builds
     mid = convex_combine([Fraction(1, 2)] * 2, [d_unit("x"), d_unit("y")])
     monkeypatch.setattr(_simplex_py.Basis, "answer", answer)

@@ -2,15 +2,18 @@
 checks of extraction, canonical terms and ``in`` that solve no linear
 program."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csl import ConvexSet, Leaf, Mix, Or, c_mult, canon, convex_combine, dist_make, iota
+from csl import (ConvexSet, Leaf, Mix, Or, c_mult, canon, convex_combine, convex_union, decide_eq, dist_make, iota,
+                 minkowski, parse_term)
+from csl.convexsets import mix_sets
 
 from genrandom import nested
-from support_oracle import axes, dot, h, h_flattened, h_points
+from support_oracle import axes, dot, h, h_flattened, h_points, held_dists
 
 ATOMS = ("x", "y", "z")
 
@@ -56,3 +59,81 @@ def test_the_support_of_a_flattening_is_the_largest_mix_of_the_inner_supports(rn
     flat = c_mult(s).base
     for y in ys + AXES:
         assert h_points(flat, y) == h_flattened(s, y)
+
+
+# --- the points a set holds, read before its base ------------------------------------
+
+gens_st = st.lists(weights_st(len(ATOMS)).map(lambda ws: dist_make(zip(ATOMS, ws))), min_size=1, max_size=5)
+
+
+def built_sets(t1, t2, p, gens):
+    """Sets no base of which has been read, each with its support function
+    from the terms and generators alone: built by convex_union, minkowski
+    and mix_sets, and from a user's generator list."""
+    def h_gens(y):
+        return h_points(gens, y)
+
+    return [
+        (convex_union(iota(t1), iota(t2)), lambda y: max(h(t1, y), h(t2, y))),
+        (minkowski(p, iota(t1), iota(t2)), lambda y: p * h(t1, y) + (1 - p) * h(t2, y)),
+        (mix_sets(p, iota(t1), ConvexSet(gens)), lambda y: p * h(t1, y) + (1 - p) * h_gens(y)),
+        (convex_union(ConvexSet(gens), iota(t2)), lambda y: max(h_gens(y), h(t2, y))),
+        (minkowski(p, ConvexSet(gens), ConvexSet(gens)), h_gens),
+        (ConvexSet(gens), h_gens),
+    ]
+
+
+@given(terms_st, terms_st, probs_st, gens_st, st.lists(directions_st, min_size=1, max_size=4))
+def test_the_points_a_set_holds_have_the_support_of_its_base(t1, t2, p, gens, ys):
+    for s, want in built_sets(t1, t2, p, gens):
+        held = held_dists(s)  # the points themselves, before any base is read
+        assert all(h_points(held, y) == want(y) for y in ys + AXES)
+        assert all(h_points(s.base, y) == want(y) for y in ys + AXES)
+
+
+def law_variants(t1, t2, t3, p, q):
+    """Pairs of terms that the axioms make equal."""
+    return [
+        (Or(Or(t1, t2), t3), Or(t1, Or(t2, t3))),
+        (Or(t1, t2), Or(t2, t1)),
+        (Mix(p, Mix(q, t1, t2), t3), Mix(p * q, t1, Mix(p * (1 - q) / (1 - p * q), t2, t3))),
+        (Mix(p, t1, t2), Mix(1 - p, t2, t1)),
+        (Mix(p, Or(t1, t2), t3), Or(Mix(p, t1, t3), Mix(p, t2, t3))),
+        (Or(t1, t2), Or(Or(t1, t2), Mix(p, t1, t2))),
+    ]
+
+
+@given(terms_st, terms_st, terms_st, probs_st, probs_st, st.lists(directions_st, max_size=3))
+def test_an_equal_verdict_keeps_the_support_function(t1, t2, t3, p, q, ys):
+    for a, b in law_variants(t1, t2, t3, p, q):
+        assert decide_eq(a, b) and decide_eq(b, a)
+        assert all(h(a, y) == h(b, y) for y in ys + AXES)
+    for a, b in ((t1, t2), (t1, Mix(p, t1, t2)), (Or(t1, t2), t3)):
+        if decide_eq(a, b):
+            assert all(h(a, y) == h(b, y) for y in ys + AXES)
+
+
+def shared_tower(levels):
+    """Each level uses the level below twice, as one object."""
+    t = Or(Leaf("x"), Mix(Fraction(1, 3), Leaf("y"), Leaf("z")))
+    for k in range(levels):
+        t = Mix(Fraction(1, 3), t, t) if k % 2 else Or(t, Mix(Fraction(1, 4), t, Leaf("w")))
+    return t
+
+
+def test_equal_verdicts_on_a_deep_chain_and_a_shared_tower_keep_the_support_function():
+    depth = 3 * sys.getrecursionlimit()
+    deep = parse_term("(mix 1/2 " * depth + "a" + " b)" * depth)
+    tower = shared_tower(12)
+    cases = [
+        (deep, Mix(Fraction(1, 2), Leaf("b"), deep.left), True),  # commutativity at the root
+        (deep, parse_term("(mix 1/2 " * depth + "c" + " b)" * depth), False),
+        (Mix(Fraction(2, 5), tower, tower), tower, True),
+        (Or(tower, Mix(Fraction(1, 3), tower, tower)), tower, True),
+        (tower, Or(tower, Leaf("a")), False),
+    ]
+    directions = axes("abcwxyz")
+    for a, b, want in cases:
+        assert decide_eq(a, b) == want
+        agree = [h(a, y) == h(b, y) for y in directions]
+        assert all(agree) if want else not all(agree)
