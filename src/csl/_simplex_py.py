@@ -29,26 +29,18 @@ with ``x[j] < 0`` leaves at its row r, and the least nonbasic c with
 row r of M, signed like ``den``, is a Farkas vector (``-|den|`` on column
 j, 0 on the other basic columns, at most 0 on the nonbasic ones, positive
 on b). The rule never cycles, from any basis, so each test starts from the
-basis the last one left, and a one-shot query (:func:`hull_witness`) is a
-fresh basis of all the columns.
+basis the last one left. ``csl.feasibility.PartialBase`` builds every
+basis the library asks; :func:`hull_witness`, a fresh basis of all the
+columns of ``[A | b]``, serves the benchmark's tracer and this kernel's tests.
 """
 
 from operator import mul
 
 
 def hull_witness(rows, ncols):
-    """Decide ``A x = b, x >= 0`` for the integer system ``rows = [A | b]``.
-
-    Every row must have ``ncols + 1`` entries. Returns ``(x, y)`` with
-    exactly one of them None. When the system is feasible,
-    ``x = (den, values)`` with the exact solution ``x[j] = values[j] / den``,
-    den positive. When it is not, ``y`` is an integer vector, one entry per
-    row, with ``y A <= 0 < y b``.
-    """
-    basis = Basis(len(rows))
-    for c in list(zip(*rows))[:ncols]:
-        basis.add(c)
-    return basis.answer([row[ncols] for row in rows])
+    """Decide ``A x = b, x >= 0`` for the integer system ``rows = [A | b]``,
+    each row of ``ncols + 1`` entries, by :meth:`Basis.answer`."""
+    return Basis(len(rows), list(zip(*rows))[:ncols]).answer([row[ncols] for row in rows])
 
 
 def _pivot(tab, prow, col, den):
@@ -70,16 +62,16 @@ def _pivot(tab, prow, col, den):
 
 
 class Basis:
-    """Integer columns ``cols`` (E), each of length ``m``, grown one at a
-    time, and a basis of them in the form ``M E_B = den * U``. Each row of
-    ``rows`` is a row of M plus one last scratch slot, where an entering
-    column's image sits while it is pivoted in. ``row_of`` holds the pivot
-    row of each basic column of E, -1 for a nonbasic one.
+    """Integer columns ``cols`` (E), each of length ``m``, built from ``cols``
+    and grown one at a time, and a basis of them, ``M E_B = den * U``. Each
+    row of ``rows`` is a row of M plus one last scratch slot, where an
+    entering column's image sits while it is pivoted in. ``row_of`` holds
+    the pivot row of each basic column of E, -1 for a nonbasic one.
     """
 
     __slots__ = ("cols", "rows", "den", "row_of", "free")
 
-    def __init__(self, m):
+    def __init__(self, m, cols=()):
         self.cols = []
         self.rows = [[0] * (m + 1) for _ in range(m)]
         for i, row in enumerate(self.rows):
@@ -87,6 +79,8 @@ class Basis:
         self.den = 1
         self.row_of = []
         self.free = list(range(m))  # the rows that are no pivot row
+        for c in cols:
+            self.add(c)
 
     def image(self, c):
         """``M c``, one integer per row."""
@@ -113,8 +107,10 @@ class Basis:
                 return
 
     def answer(self, b):
-        """:func:`hull_witness`'s ``(x, y)`` for ``E x = b, x >= 0``: ``y``
-        one integer per row of E, ``x`` one value per column."""
+        """Decide ``E x = b, x >= 0``. Returns ``(x, y)``, exactly one of
+        them None: ``x = (den, values)``, the exact solution
+        ``x[j] = values[j] / den`` with den positive, one value per column,
+        or ``y``, one integer per row of E, with ``y E <= 0 < y b``."""
         while True:
             v = self.image(b)
             for i in self.free:

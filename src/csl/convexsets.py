@@ -17,7 +17,9 @@ deduplication, extraction and ``in`` read them directly, and a ``Dist`` is
 built only where a base leaves the set: ``base`` and its readers (hashing,
 ordering, iteration, ``len``, ``repr``, :func:`~csl.terms.kappa`, JSON).
 Sets over different frames meet in the union of their frames, into which
-:func:`columns` re-embeds their points.
+:func:`columns` re-embeds their points. Every hull question, with its
+bound test and basis, goes to :class:`~csl.feasibility.PartialBase`; this
+module keeps frames, laziness and the set algebra.
 
 Like distributions, everything here is generic in the atom type: the atoms
 of the base elements may themselves be ``ConvexSet`` values, which is how
@@ -65,35 +67,6 @@ def _framed(s1: "ConvexSet", s2: "ConvexSet") -> Tuple[tuple, Sequence[tuple], S
     return tuple(zeros), _embedded(s1, zeros), _embedded(s2, zeros)
 
 
-def _separation(base: PartialBase, b: Sequence[int], den: int) -> Optional[List[int]]:
-    """A functional separating the column ``b`` (denominator ``den``) from
-    the hull of the columns of ``base``, or None when ``b`` lies inside.
-
-    First by the per-atom bounds: an atom whose weight in ``b`` is strictly
-    above, or strictly below, its weight in every column separates, as +1
-    or -1 on that atom and 0 on the others, since every convex combination
-    keeps it between the two. Where ``b`` weighs 0, only below can hold,
-    and it does when every column weighs more than 0. This covers every
-    Dirac ``b`` outside the hull. Otherwise by the basis's verified answer.
-    """
-    for k, (x, row) in enumerate(zip(b, zip(*base.cols))):
-        if x:
-            above = below = True
-            for c, cden in zip(row, base.dens):
-                diff = x * cden - c * den
-                above = above and diff > 0
-                below = below and diff < 0
-                if not (above or below):
-                    break
-        else:
-            above, below = False, all(row)
-        if above or below:
-            y = [0] * len(b)
-            y[k] = 1 if above else -1
-            return y
-    return base.separation(b)
-
-
 def _lex_above(q: tuple, qden: int, r: tuple, rden: int) -> bool:
     """Is the column ``q`` heavier than ``r`` on the first atom, in sorted
     order, where their weights differ?"""
@@ -132,14 +105,11 @@ def _extract_base(points: List[tuple]) -> Tuple[List[tuple], Optional[PartialBas
     the hull of E, so the pending points and E generate the whole hull.
 
     E starts with the lexicographic maximum, which is extreme. Then the last
-    pending point p is tested against E alone: by the per-atom bounds, then
-    by a verified answer of :class:`PartialBase`, which keeps one basis of
-    E's columns for the whole extraction. A joining point enters it by one
-    pivot unless its column lies in the span of E's. A test reads p's
-    coefficients over the basis, or a certificate, off its echelon form; a
-    negative coefficient starts Terlaky's least-index criss-cross from the
-    basis the last test left, which ends, after finitely many pivots, in
-    coefficients or a certificate over all of E. Inside the hull of E, p is
+    pending point p is tested against E alone by
+    :meth:`PartialBase.separation`, which keeps one basis of E's columns
+    for the whole extraction: a joining point enters it by one pivot unless
+    its column lies in the span of E's, and each test starts the
+    criss-cross from the basis the last one left. Inside the hull of E, p is
     dropped. Outside, the certificate y has ``y·p > y·e`` for every e in E,
     so over the whole hull y is largest at pending points only. The pending
     point with the largest ``y·q`` (ties to the lexicographic maximum) is a
@@ -159,10 +129,10 @@ def _extract_base(points: List[tuple]) -> Tuple[List[tuple], Optional[PartialBas
         i = _farthest(points, dens, pending, y)
         pending.remove(i)
         extreme[i] = True
-        base.add(points[i], dens[i])
+        base.add(points[i])
         while pending:
             p = pending[-1]
-            y = _separation(base, points[p], dens[p])
+            y = base.separation(points[p])
             if y is not None:
                 break
             pending.pop()
@@ -184,18 +154,20 @@ class ConvexSet:
     :func:`convex_union` and :func:`minkowski` build a set lazily: it holds
     distinct generators, and whether they are known to be its base, until
     it is extracted, by way of the constructor, before a mix, at ``==`` or
-    when ``base`` is first read. ``==`` with such a side extracts the
-    other side's base B and tests the generators against it, by the
-    uniqueness of the base: equal exactly when every element of B is a
-    generator and every other generator lies in the hull of B. Then B
-    becomes the lazy side's base too.
+    when ``base`` is first read. ``==`` has one path: it extracts one
+    side's base B, a side that holds its base if either does, and tests
+    the other side's points against it, by the uniqueness of the base:
+    equal exactly when every element of B is a point and every other
+    point lies in the hull of B. Then B becomes the lazy side's base too.
+    Two sets that hold their bases compare counts, then points, over B's
+    frame, so that ``==`` reads no basis and changes neither.
 
     ``in`` is the one membership test; :func:`member_of_hull` and ``==``
     ask it. A value that is not a ``Dist``, an atom outside the frame and
-    a point the set holds answer at once. Every other test answers from
-    the one basis the set keeps: the one its extraction ended with, or
-    else, built at the first such test and kept, a basis of the points it
-    holds, which generate the same hull.
+    a point the set holds answer at once. Every other test goes to the
+    one :class:`~csl.feasibility.PartialBase` the set keeps: the one its
+    extraction ended with, or else one built, at the first such test, of
+    the points it holds, which generate the same hull.
 
     Lazy generators are a list: as tuples sized by a guess, they filled CPython's free lists (+1 MB RSS).
     """
@@ -256,45 +228,41 @@ class ConvexSet:
             return False
         zeros.update(d.nums)  # d's integers over the frame: its point
         b = tuple(zeros.values())
-        return b in self._points or self._holds(b, d.den)
+        return b in self._points or self._holds(b)
 
-    def _holds(self, b: tuple, den: int) -> bool:
-        """Is the point ``b``, with sum ``den``, in the hull? By the basis the set keeps, built if none."""
+    def _holds(self, b: tuple) -> bool:
+        """Is the point ``b`` in the hull? By the basis the set keeps, built if none."""
         hull = self._hull
         if hull is None:
-            self._hull = hull = PartialBase(len(self._atoms))
-            for p in self._points:
-                hull.add(p, sum(p))
-        return _separation(hull, b, den) is None
+            self._hull = hull = PartialBase(len(self._atoms), self._points)
+        return hull.separation(b) is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexSet):
             return NotImplemented
-        if not other._extreme:
-            return other._generated_by(self)
-        if not self._extreme:
-            return self._generated_by(other)
-        if self._atoms != other._atoms:  # atoms that need not sort together
-            return self.base == other.base
-        return len(self._points) == len(other._points) and set(self._points) == set(other._points)
+        return self._generated_by(other) if other._extreme else other._generated_by(self)
 
     def _generated_by(self, other: "ConvexSet") -> bool:
         """Is ``other``'s base the base of the hull of this set's points? If
-        so, the set takes it as its own.
+        so, a set not known to hold its base takes ``other``'s as its own.
 
         Every generating set of a hull contains the hull's unique base, so
         the points generate the hull of ``base`` exactly when they include
-        ``base`` and the others lie in its hull. A missing element, or a point on
-        an atom outside ``other``'s frame, answers no before its basis is read."""
+        ``base`` and the others lie in its hull. Two bases of different
+        sizes, a missing element, or a point on an atom outside ``other``'s
+        frame answer no before its basis is read."""
         other._extract()
         atoms, base = other._atoms, other._points
+        if self._extreme and len(self._points) != len(base):
+            return False
         points = self._points if self._atoms == atoms else _embedded(self, dict.fromkeys(atoms, 0))
         extreme = set(base)
         if not extreme.issubset(points):
             return False
-        if not all(len(p) == len(atoms) and other._holds(p, sum(p)) for p in points if p not in extreme):
+        if not all(len(p) == len(atoms) and other._holds(p) for p in points if p not in extreme):
             return False
-        self._atoms, self._points, self._hull, self._base, self._extreme = atoms, base, other._hull, other._base, True
+        if not self._extreme:
+            self._atoms, self._points, self._hull, self._base, self._extreme = atoms, base, other._hull, other._base, True
         return True
 
     def __lt__(self, other) -> bool:

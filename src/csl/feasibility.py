@@ -16,17 +16,18 @@ whose coefficients are generator j's integers and whose right-hand side is
 column's integers sum to its D_j, the right-hand sides to D_d), so it is
 implied and no row is built for it; ``alpha_j = D_j beta_j / D_d``.
 
-One solver in ``csl._simplex_py`` answers it: a least-index criss-cross
-on one fraction-free basis of the columns (:class:`PartialBase`). An
-extraction grows that basis point by point and starts each test from the
-basis the last one left; a set keeps one basis and answers every
-membership test from it; :func:`hull_coefficients`, the one query that
-wants coefficients, starts a fresh one (:func:`simplex`). No answer is
-used before :func:`verified`, the one check, accepts it with integer dot
-products. Coefficients must rebuild every atom of the target, which also
-gives the convexity condition. A Farkas vector y (one integer per atom)
-must have ``y·g <= 0 < y·d`` on the stored integers of every generator g
-and of d, which proves d outside the hull: every convex combination keeps
+:class:`PartialBase` owns every hull question: it builds the basis of
+the columns, runs the per-atom bound test, then asks the one solver in
+``csl._simplex_py``, a least-index criss-cross on that fraction-free
+basis. An extraction grows one basis point by point, each test starting
+from the basis the last one left; a set keeps one for every membership
+test; :func:`hull_coefficients`, the one query that wants coefficients,
+builds one of its generators. No answer is used before :func:`verified`,
+the one check, accepts it with integer dot products. Coefficients must
+rebuild every atom of the target, which also gives the convexity
+condition. A Farkas vector y (one integer per atom) must have
+``y·g <= 0 < y·d`` on the stored integers of every generator g and of d,
+which proves d outside the hull: every convex combination keeps
 ``y·x / D_x <= 0``. A failed check raises ``ArithmeticError``.
 """
 
@@ -62,7 +63,7 @@ def columns(points: Sequence[Dict], zeros: Optional[Dict] = None) -> List[Tuple[
 
 def verified(cols: Sequence[List[int]], b: List[int], x, y):
     """Return the answer ``(x, y)`` for ``b`` over the columns ``cols``, in
-    :func:`csl._simplex_py.hull_witness`'s format, once it is checked:
+    :meth:`csl._simplex_py.Basis.answer`'s format, once it is checked:
     ``x = (den, values)`` must rebuild ``b * den`` from nonnegative values,
     or ``y`` must have ``y·c <= 0 < y·b`` for every column c."""
     if x is not None:
@@ -78,31 +79,50 @@ def verified(cols: Sequence[List[int]], b: List[int], x, y):
     return x, y
 
 
-def simplex(cols: Sequence[List[int]], b: List[int]):
-    """The verified one-shot answer for ``b`` over ``cols``, from a fresh
-    basis of all of them (:func:`csl._simplex_py.hull_witness`)."""
-    return verified(cols, b, *_kernel.hull_witness(list(zip(*cols, b)), len(cols)))
-
-
 class PartialBase(_kernel.Basis):
-    """The columns ``cols`` of a growing point set E over m atoms, their
-    denominators ``dens``, and the test of a column against the hull of E:
-    its :class:`csl._simplex_py.Basis`'s answer, once :func:`verified` accepts it."""
+    """The columns ``cols`` of a point set E over m atoms, built from
+    ``cols`` and grown by :meth:`add`, their denominators ``dens``, and the
+    test of a column against the hull of E (:meth:`separation`)."""
 
     __slots__ = ("dens",)
 
-    def __init__(self, m: int):
-        super().__init__(m)
-        self.dens: List[int] = []
+    def __init__(self, m: int, cols: Iterable[Sequence[int]] = ()):
+        self.dens: List[int] = []  # first: Basis.__init__ adds cols through add()
+        super().__init__(m, cols)
 
-    def add(self, c: Sequence[int], den: int) -> None:
-        """Append the column c, of a point with denominator ``den``, to E."""
+    def add(self, c: Sequence[int]) -> None:
+        """Append the column c to E; its denominator is its sum."""
         super().add(c)
-        self.dens.append(den)
+        self.dens.append(sum(c))
 
     def separation(self, b: Sequence[int]) -> Optional[List[int]]:
-        """None when ``b`` is in the hull of E; otherwise a verified Farkas
-        vector y, one integer per row, with ``y·b > 0 >= y·e`` on E."""
+        """None when the column ``b`` is in the hull of E; otherwise a
+        Farkas vector y, one integer per row, with ``y·b > 0 >= y·e`` on E.
+
+        First by the per-atom bounds: an atom whose weight in ``b`` is
+        strictly above, or strictly below, its weight in every column of E
+        separates, as +1 or -1 on that atom and 0 on the others, since every
+        convex combination keeps it between the two. Where ``b`` weighs 0,
+        only below can hold, and it does when every column weighs more than
+        0. This covers every Dirac ``b`` outside the hull. Otherwise by the
+        basis's answer, once :func:`verified` accepts it.
+        """
+        den = sum(b)
+        for k, (x, row) in enumerate(zip(b, zip(*self.cols))):
+            if x:
+                above = below = True
+                for c, cden in zip(row, self.dens):
+                    diff = x * cden - c * den
+                    above = above and diff > 0
+                    below = below and diff < 0
+                    if not (above or below):
+                        break
+            else:
+                above, below = False, all(row)
+            if above or below:
+                y = [0] * len(b)
+                y[k] = 1 if above else -1
+                return y
         return verified(self.cols, b, *self.answer(b))[1]
 
 
@@ -111,14 +131,15 @@ def hull_coefficients(d: Dist, gens: Iterable[Dist]) -> Optional[List[Fraction]]
 
     Decides whether there are alpha_j >= 0 with sum(alpha) = 1 and
     sum_j alpha_j * gens[j] = d, atom by atom over the union of all supports
-    (``d``'s included), by :func:`simplex`. Returns the coefficients, in the
-    order of ``gens``, when feasible, None otherwise.
+    (``d``'s included), by the verified answer of a :class:`PartialBase`
+    of the generators' columns. Returns the coefficients, in the order of
+    ``gens``, when feasible, None otherwise.
     """
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("generator set must be non-empty")
-    cols = columns([g.nums for g in [*gen_list, d]])
-    x, _ = simplex(cols[:-1], cols[-1])
+    *cols, b = columns([g.nums for g in [*gen_list, d]])
+    x, _ = verified(cols, b, *PartialBase(len(b), cols).answer(b))
     if x is None:
         return None
     # beta_j = values[j] / den, and alpha_j = D_j beta_j / D_d

@@ -20,26 +20,20 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def hull_answers(monkeypatch):
-    """Every hull answer checked by ``feasibility.verified`` from now on, as
-    ``(path, columns)``: path "simplex" for a one-shot answer of
-    ``hull_witness``, from a fresh basis of all the columns, as
-    ``hull_coefficients`` solves, and "basis" for one of a basis kept
-    across tests: an extraction's, warm-started by the test before, or the
-    one a set keeps, which answers ``in``, ``member_of_hull`` and ``==``."""
+    """The number of columns of every hull answer that
+    ``feasibility.verified`` checks from now on. Every answer comes from
+    the basis of a ``PartialBase``: an extraction's, warm-started by the
+    test before; the one a set keeps, which answers ``in``,
+    ``member_of_hull`` and ``==``; or the fresh one ``hull_coefficients``
+    builds of its generators. A test that the per-atom bounds settle
+    reaches no answer."""
     answers = []
-    solved = []
-    kernel, check = feasibility._kernel.hull_witness, feasibility.verified
-
-    def solving(rows, ncols):
-        solved.append(ncols)
-        return kernel(rows, ncols)
+    check = feasibility.verified
 
     def checking(cols, b, x, y):
-        answers.append(("simplex" if solved else "basis", len(cols)))
-        solved.clear()
+        answers.append(len(cols))
         return check(cols, b, x, y)
 
-    monkeypatch.setattr(feasibility._kernel, "hull_witness", solving)
     monkeypatch.setattr(feasibility, "verified", checking)
     return answers
 
@@ -52,9 +46,9 @@ def bases_built(monkeypatch):
     built = []
 
     class CountedBasis(convexsets.PartialBase):
-        def __init__(self, m):
+        def __init__(self, m, cols=()):
             built.append(m)
-            super().__init__(m)
+            super().__init__(m, cols)
 
     monkeypatch.setattr(convexsets, "PartialBase", CountedBasis)
     return built

@@ -34,7 +34,7 @@ from csl import (
     unique_base,
 )
 from csl import _simplex_py
-from csl.convexsets import _extract_base, _over_frame
+from csl.convexsets import _extract_base, _over_frame, unit_sets
 from csl.distributions import dist_to_obj, mix2, mix_points
 from csl.errors import DecodeError
 
@@ -595,7 +595,7 @@ def test_extraction_matches_the_one_sweep_reference(hull_answers):
         assert got == [points[dists.index(d)] for d in want], kind
         # at most one test per point but the first, each over part of the base
         assert len(hull_answers) <= len(dists) - 1
-        assert all(ncols <= len(want) for _, ncols in hull_answers)
+        assert all(ncols <= len(want) for ncols in hull_answers)
         sizes[kind].add((len(want) == len(dists), len(want) == 1))
     assert sizes["all extreme"] == {(True, False)}
     assert sizes["one point"] == {(True, True)}
@@ -799,7 +799,7 @@ def test_equality_needs_the_base_among_the_generators_and_no_point_outside(hull_
         for s1, s2 in ((known, lazy(gens)), (lazy(gens), known)):
             hull_answers.clear()
             assert (s1 == s2) == want
-            assert len(hull_answers) == answers and all(path == "basis" for path, _ in hull_answers)
+            assert len(hull_answers) == answers
 
 
 def test_equality_tests_against_the_basis_the_other_side_kept(bases_built):
@@ -975,6 +975,38 @@ def test_equal_sets_over_different_frames_compare_equal():
     sets = [ConvexSet([d_unit(ConvexSet([DX]))]), convex_union(c_unit(ConvexSet([DX])), c_unit(ConvexSet([DY])))]
     for s1, s2 in itertools.product(names, sets):
         assert s1 != s2 and s2 != s1
+
+
+def state(s):
+    """What ``==`` may not change in an extracted set: its frame, points,
+    bases and the basis's pivot rows."""
+    return (s._atoms, s._points, s._base, s._hull, None if s._hull is None else list(s._hull.row_of))
+
+
+def test_equality_of_two_extracted_sets_reads_no_basis_and_changes_neither(bases_built, hull_answers):
+    rng = Random(4355)
+    seen = dict.fromkeys(("one frame", "two frames"), 0)
+    verdicts = set()
+    for _ in range(150):
+        gens1, gens2 = equality_instance(rng, flat_atoms)
+        want = ConvexSet(gens1).base == ConvexSet(gens2).base
+        verdicts.add(want)
+        # over the generators' own frames, and over one with an atom no point weighs
+        for s1, s2 in ((ConvexSet(gens1), ConvexSet(gens2)), (ConvexSet(gens1), widened(gens2)._extract()),
+                       (widened(gens1)._extract(), widened(gens2, extra="r")._extract())):
+            seen["one frame" if s1._atoms == s2._atoms else "two frames"] += 1
+            before = [(s, state(s)) for s in (s1, s2)]
+            bases_built.clear()
+            hull_answers.clear()
+            assert (s1 == s2) == (s2 == s1) == want
+            assert bases_built == [] and hull_answers == []
+            assert all(state(s) == was and s._hull is was[3] and s._base is was[2] for s, was in before)
+    # a frame atom that weighs 0 in every point
+    units = unit_sets("abc")
+    for a, b in itertools.product("abc", "ab"):
+        for s1, s2 in ((units[a], c_unit(b)), (c_unit(b), units[a])):
+            assert (s1 == s2) == (a == b) == (s1.base == s2.base)
+    assert min(seen.values()) > 100 and verdicts == {True, False}, seen
 
 
 def test_flattening_inner_sets_over_different_atoms_is_the_full_product():

@@ -3,7 +3,9 @@ checks of extraction, canonical terms and ``in`` that solve no linear
 program."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from csl import (ConvexSet, Leaf, Mix, Or, c_mult, canon, convex_combine, convex_union, decide_eq, dist_make, iota,
                  minkowski, parse_term)
 from csl.convexsets import mix_sets
+from csl.feasibility import PartialBase, atom_zeros, columns
 
-from genrandom import nested
+from genrandom import nested, prob, term
 from support_oracle import axes, dot, h, h_flattened, h_points, held_dists
 
 ATOMS = ("x", "y", "z")
@@ -137,3 +140,65 @@ def test_equal_verdicts_on_a_deep_chain_and_a_shared_tower_keep_the_support_func
         assert decide_eq(a, b) == want
         agree = [h(a, y) == h(b, y) for y in directions]
         assert all(agree) if want else not all(agree)
+
+
+# --- unequal verdicts -----------------------------------------------------------------
+
+
+def perturbed_variants(t1, t2, t3, p, q):
+    """Pairs of terms like :func:`law_variants`'s, each with one side
+    changed, so that most are unequal over the same atoms."""
+    return [
+        (Mix(p, t1, t2), Mix(q, t1, t2)),
+        (Or(t1, t2), Mix(p, t1, t2)),
+        (Mix(p, Or(t1, t2), t3), Or(Mix(p, t1, t3), Mix(q, t2, t3))),
+        (Mix(p, Mix(q, t1, t2), t3), Mix(p * q, t1, Mix(q, t2, t3))),
+        (Or(t1, t2), Or(t1, Mix(p, t2, t3))),
+    ]
+
+
+def differing_direction(t1, t2):
+    """A direction y with ``h(t1, y) != h(t2, y)``, and how it was found:
+    "axis", a coordinate direction over the union of the atoms, or else
+    "farkas", the vector with which ``PartialBase.separation`` separates a
+    base point of one side from the hull of the other's base. None when
+    neither finds one."""
+    terms = (t1, t2)
+    sets = [iota(t) for t in terms]
+    zeros = atom_zeros([s._atoms for s in sets])
+    for y in axes(zeros):
+        if h(t1, y) != h(t2, y):
+            return "axis", y
+    cols = [columns([d.nums for d in s.base], zeros) for s in sets]
+    for inner, outer in ((0, 1), (1, 0)):
+        hull = PartialBase(len(zeros), cols[outer])
+        for b in cols[inner]:
+            y = hull.separation(b)
+            if y is not None:
+                y = dict(zip(zeros, y))
+                # y·b > 0 >= y·e on the integers, and so on the weights
+                assert h(terms[inner], y) > 0 >= h(terms[outer], y)
+                return "farkas", y
+    return None
+
+
+@given(terms_st, terms_st, terms_st, probs_st, probs_st)
+def test_an_unequal_verdict_has_a_direction_where_the_support_functions_differ(t1, t2, t3, p, q):
+    for a, b in [(t1, t2), *perturbed_variants(t1, t2, t3, p, q)]:
+        if not decide_eq(a, b):
+            _, y = differing_direction(a, b)
+            assert h(a, y) != h(b, y)
+
+
+def test_unequal_verdicts_on_seeded_pairs_are_told_apart_by_an_axis_or_a_farkas_vector():
+    rng = Random(4361)
+    found = Counter()
+    for _ in range(300):
+        t1, t2, t3 = (term(rng, 4) for _ in range(3))
+        for a, b in [(t1, t2), *perturbed_variants(t1, t2, t3, prob(rng), prob(rng))]:
+            if not decide_eq(a, b):
+                how, y = differing_direction(a, b)
+                assert h(a, y) != h(b, y)
+                found[how] += 1
+    # the coordinate directions alone miss some pairs, which the Farkas vector settles
+    assert found["axis"] > 1000 and found["farkas"] > 10, found
